@@ -201,7 +201,8 @@ def exact_distribution(problem: TransportProblem) -> np.ndarray:
             src = mass * mask
             if src.any():
                 full = np.convolve(src, pmf)
-                assert full[size:].sum() < 1e-12, "mass escaped the position register"
+                if full[size:].sum() >= 1e-12:
+                    raise InvariantError("mass escaped the position register")
                 out += full[:size]
         return out
 

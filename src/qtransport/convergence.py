@@ -79,13 +79,7 @@ def quantum_curve(
         rng = np.random.default_rng(derive_seed(si, 0, 1))
         hits = [int(rng.binomial(shots_per_power, p)) for p in probs]
         for prefix in range(1, len(schedule) + 1):
-            sub_hits = hits[:prefix]
-            if all(hit == 0 for hit in sub_hits):
-                theta = 0.0
-            elif all(hit == shots_per_power for hit in sub_hits):
-                theta = math.pi / 2
-            else:
-                theta = qae.max_likelihood_theta(schedule[:prefix], shots[:prefix], sub_hits)
+            theta = qae.theta_from_hits(schedule[:prefix], shots[:prefix], hits[:prefix])
             errors[si, prefix - 1] = math.sin(theta) ** 2 - p_true
     points = []
     for prefix in range(1, len(schedule) + 1):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .circuit import Circuit, compose, inverse, phase_shift, x
 from .errors import PredicateError
-from .sim import CompiledCircuit, zero_state
+from .sim import apply_inplace, flag_probability, zero_state
 from .transport import TransportCircuit, TransportProblem, _region_flag_gates
 
 GEQ, EQ, REGION2 = "geq", "eq", "region2"
@@ -131,37 +131,28 @@ def build_grover_operator(a: Circuit, flag: int) -> Circuit:
     return compose(s_chi, inverse(a), s0, a)
 
 
-def _flag_mask(n: int, flag: int) -> np.ndarray:
-    indices = np.arange(1 << n, dtype=np.int64)
-    return ((indices >> flag) & 1).astype(bool)
-
-
 def exact_amplitude(a: Circuit, flag: int) -> float:
     """Flag |1> probability of A|0>, bypassing estimation."""
-    amps = zero_state(a.qubit_count).amplitudes
-    CompiledCircuit(a).run_inplace(amps)
-    return float(np.sum(np.abs(amps[_flag_mask(a.qubit_count, flag)]) ** 2))
+    state = zero_state(a.qubit_count)
+    apply_inplace(state.amplitudes, a)
+    return flag_probability(state, flag)
 
 
 def grover_flag_probabilities(a: Circuit, flag: int, powers) -> np.ndarray:
     """Exact flag probabilities after Q^m A|0> for each requested power m."""
     powers = list(powers)
-    n = a.qubit_count
-    mask = _flag_mask(n, flag)
-    compiled_a = CompiledCircuit(a)
-    compiled_q = CompiledCircuit(build_grover_operator(a, flag))
-    amps = zero_state(n).amplitudes
-    compiled_a.run_inplace(amps)
+    q = build_grover_operator(a, flag)
+    state = zero_state(a.qubit_count)
+    apply_inplace(state.amplitudes, a)
     current = 0
-    probs = []
+    by_power = {}
     for m in sorted(set(powers)):
         if m < 0:
             raise PredicateError("Grover powers must be nonnegative")
         while current < m:
-            compiled_q.run_inplace(amps)
+            apply_inplace(state.amplitudes, q)
             current += 1
-        probs.append((m, float(np.sum(np.abs(amps[mask]) ** 2))))
-    by_power = dict(probs)
+        by_power[m] = flag_probability(state, flag)
     return np.array([by_power[m] for m in powers])
 
 
@@ -222,6 +213,16 @@ def max_likelihood_theta(powers, shots, hits, grid_points: int = 100_000) -> flo
     return best
 
 
+def theta_from_hits(powers, shots, hits, grid_points: int = 100_000) -> float:
+    """Theta estimate from hit counts at each Grover power: 0 when every
+    shot missed, pi/2 when every shot hit, else the likelihood maximum."""
+    if all(hit == 0 for hit in hits):
+        return 0.0
+    if all(hit == s for hit, s in zip(hits, shots)):
+        return math.pi / 2
+    return max_likelihood_theta(powers, shots, hits, grid_points)
+
+
 def mlqae_estimate(
     a: Circuit,
     flag: int,
@@ -246,12 +247,7 @@ def mlqae_estimate(
     rng = np.random.default_rng(seed)
     hits = tuple(int(rng.binomial(shots_per_power, p)) for p in probs)
     shots = [shots_per_power] * len(schedule)
-    if all(hit == 0 for hit in hits):
-        theta = 0.0
-    elif all(hit == shots_per_power for hit in hits):
-        theta = math.pi / 2
-    else:
-        theta = max_likelihood_theta(schedule, shots, hits, grid_points)
+    theta = theta_from_hits(schedule, shots, hits, grid_points)
     curve = None
     if keep_curve:
         grid = np.linspace(0.0, math.pi / 2, 2001)

@@ -1,12 +1,11 @@
 """Dense statevector engine.
 
 Amplitudes live in one complex128 array indexed LSB-first (bit i of the
-basis index is qubit i). Gate application works in place on index pairs
-selected by bit masks; controls filter the index set instead of expanding
-the gate matrix, which keeps a k-controlled gate exactly as cheap as the
-uncontrolled one. A circuit can be compiled once into per-gate index plans
-(`CompiledCircuit`) and re-applied many times, which is what makes repeated
-Grover powers affordable.
+basis index is qubit i). `apply_inplace` is the one gate kernel: it views
+the array with a length-2 axis per qubit a gate touches and one merged axis
+per run of untouched qubits, then fixes the control axes, so each gate reads
+and writes basic-slicing views of its controlled subspace and no index
+arrays are built. `marginal` and `flag_probability` read the same layout.
 
 Shot sampling is sequential and vectorized from a single seeded stream, so
 counts are bit-identical for a given seed no matter how the surrounding
@@ -19,17 +18,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
+from .circuit import Circuit, GateKind
 from .errors import CapacityError, InvariantError
 
 DEFAULT_MAX_QUBITS = 26
 MAX_QUBITS_ENV = "QTRANSPORT_MAX_QUBITS"
+_SHORT_RUN = 8
+_INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
 def engine_max_qubits() -> int:
     """Qubit ceiling: QTRANSPORT_MAX_QUBITS overrides the default of 26."""
     raw = os.environ.get(MAX_QUBITS_ENV)
-    return int(raw) if raw else DEFAULT_MAX_QUBITS
+    if not raw:
+        return DEFAULT_MAX_QUBITS
+    try:
+        ceiling = int(raw)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise CapacityError(f"{MAX_QUBITS_ENV} must be an integer >= 1, got {raw!r}")
+    return ceiling
 
 
 @dataclass
@@ -59,74 +68,86 @@ def zero_state(n: int, registers: dict[str, tuple[int, ...]] | None = None) -> S
     return Statevector(amplitudes, dict(registers or {}))
 
 
-def _control_mask(indices: np.ndarray, controls) -> np.ndarray:
-    ok = np.ones(len(indices), dtype=bool)
-    for q, positive in controls:
-        bit = (indices >> q) & 1
-        ok &= bit.astype(bool) if positive else ~bit.astype(bool)
-    return ok
+def _split(amplitudes: np.ndarray, qubits) -> tuple[np.ndarray, dict[int, int]]:
+    """View of a 2^n array with one length-2 axis per listed qubit.
+
+    Each run of unlisted qubits between them is merged into one axis
+    (empty runs get none). Qubit n-1 varies slowest, matching LSB-first
+    indexing in C order. Returns the view and each listed qubit's axis.
+    """
+    top = len(amplitudes).bit_length() - 1
+    shape: list[int] = []
+    axis: dict[int, int] = {}
+    for q in sorted(qubits, reverse=True):
+        if top - q > 1:
+            shape.append(1 << (top - q - 1))
+        axis[q] = len(shape)
+        shape.append(2)
+        top = q
+    if top:
+        shape.append(1 << top)
+    return amplitudes.reshape(shape), axis
 
 
-# Op codes for compiled gates: (code, payload...)
-_PAIR, _XSWAP, _PHASE, _SWAP = range(4)
+def _fixed(view: np.ndarray, axis: dict[int, int], bits) -> np.ndarray:
+    """Basic-slicing view of `view` with each (qubit, bit) pair held fixed.
+
+    The trailing Ellipsis keeps a fully fixed selection a 0-d view. Below
+    _SHORT_RUN numpy's per-inner-loop cost dominates, so a short last axis
+    is swapped with the longest; the kernel's ufuncs use order="C" so that
+    the iteration follows it.
+    """
+    index: list = [slice(None)] * view.ndim
+    for q, bit in bits:
+        index[axis[q]] = bit
+    part = view[(*index, ...)]
+    if part.ndim > 1 and part.shape[-1] < _SHORT_RUN:
+        part = part.swapaxes(part.shape.index(max(part.shape)), -1)
+    return part
 
 
-def _compile_gate(gate: Gate, indices: np.ndarray):
-    kind = gate.kind
-    if kind is GateKind.SWAP:
-        t1, t2 = gate.targets
-        sel = _control_mask(indices, gate.controls)
-        sel &= ((indices >> t1) & 1).astype(bool)
-        sel &= ~((indices >> t2) & 1).astype(bool)
-        ia = indices[sel]
-        ib = ia - (1 << t1) + (1 << t2)
-        return (_SWAP, ia, ib)
-    t = gate.targets[0]
-    if kind is GateKind.PHASE_SHIFT:
-        sel = _control_mask(indices, gate.controls)
-        sel &= ((indices >> t) & 1).astype(bool)
-        return (_PHASE, indices[sel], np.exp(1j * gate.angle))
-    sel = _control_mask(indices, gate.controls)
-    sel &= ~((indices >> t) & 1).astype(bool)
-    i0 = indices[sel]
-    i1 = i0 + (1 << t)
-    if kind is GateKind.PAULI_X:
-        return (_XSWAP, i0, i1)
-    if kind is GateKind.HADAMARD:
-        s = 1.0 / np.sqrt(2.0)
-        return (_PAIR, i0, i1, s, s, s, -s)
-    if kind is GateKind.ROT_Y:
-        c, s = np.cos(gate.angle / 2.0), np.sin(gate.angle / 2.0)
-        return (_PAIR, i0, i1, c, -s, s, c)
-    raise InvariantError(f"unknown gate kind {kind}")
+def _swap(a: np.ndarray, b: np.ndarray) -> None:
+    held = a.copy()
+    np.copyto(a, b)
+    np.copyto(b, held)
 
 
-class CompiledCircuit:
-    """Per-gate index plans for repeated application of one circuit."""
+def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
+    """Run every gate of a circuit on a 2^n amplitude array, in place.
 
-    def __init__(self, circuit: Circuit):
-        self.circuit = circuit
-        indices = np.arange(1 << circuit.qubit_count, dtype=np.int64)
-        self._ops = [_compile_gate(g, indices) for g in circuit.gates]
+    Each gate reads and writes views of the amplitudes where its controls
+    are satisfied; its scratch memory is at most the size of that
+    controlled subspace.
+    """
+    for gate in circuit.gates:
+        view, axis = _split(amplitudes, gate.qubits)
+        controls = [(q, int(positive)) for q, positive in gate.controls]
 
-    def run_inplace(self, amplitudes: np.ndarray) -> None:
-        for op in self._ops:
-            code = op[0]
-            if code == _PAIR:
-                _, i0, i1, u00, u01, u10, u11 = op
-                a0 = amplitudes[i0]
-                a1 = amplitudes[i1]
-                amplitudes[i0] = u00 * a0 + u01 * a1
-                amplitudes[i1] = u10 * a0 + u11 * a1
-            elif code == _XSWAP:
-                _, i0, i1 = op
-                amplitudes[i0], amplitudes[i1] = amplitudes[i1], amplitudes[i0]
-            elif code == _PHASE:
-                _, idx, factor = op
-                amplitudes[idx] *= factor
-            else:
-                _, ia, ib = op
-                amplitudes[ia], amplitudes[ib] = amplitudes[ib], amplitudes[ia]
+        def part(*target_bits: int) -> np.ndarray:
+            return _fixed(view, axis, controls + list(zip(gate.targets, target_bits)))
+
+        kind = gate.kind
+        if kind is GateKind.SWAP:
+            _swap(part(1, 0), part(0, 1))
+        elif kind is GateKind.PHASE_SHIFT:
+            ones = part(1)
+            np.multiply(ones, np.exp(1j * gate.angle), out=ones, order="C")
+        elif kind is GateKind.PAULI_X:
+            _swap(part(0), part(1))
+        elif kind is GateKind.HADAMARD:
+            a0, a1 = part(0), part(1)
+            held = np.subtract(a0, a1, order="C")
+            np.add(a0, a1, out=a0, order="C")
+            np.multiply(a0, _INV_SQRT2, out=a0, order="C")
+            np.multiply(held, _INV_SQRT2, out=a1, order="C")
+        else:
+            c, s = np.cos(gate.angle / 2.0), np.sin(gate.angle / 2.0)
+            a0, a1 = part(0), part(1)
+            held = np.multiply(a0, s, order="C")
+            np.multiply(a0, c, out=a0, order="C")
+            np.subtract(a0, np.multiply(a1, s, order="C"), out=a0, order="C")
+            np.multiply(a1, c, out=a1, order="C")
+            np.add(a1, held, out=a1, order="C")
 
 
 def apply(state: Statevector, circuit: Circuit) -> Statevector:
@@ -136,9 +157,10 @@ def apply(state: Statevector, circuit: Circuit) -> Statevector:
             f"circuit has {circuit.qubit_count} qubits, state has {state.qubit_count}"
         )
     amplitudes = state.amplitudes.copy()
-    CompiledCircuit(circuit).run_inplace(amplitudes)
+    apply_inplace(amplitudes, circuit)
     result = Statevector(amplitudes, {**state.registers, **dict(circuit.registers)})
-    assert abs(result.norm() - 1.0) < 1e-9, "statevector norm drifted"
+    if abs(result.norm() - 1.0) >= 1e-9:
+        raise InvariantError(f"statevector norm drifted to {result.norm()!r}")
     return result
 
 
@@ -147,23 +169,18 @@ def marginal(state: Statevector, register: str) -> np.ndarray:
     if register not in state.registers:
         raise InvariantError(f"unknown register {register!r}")
     qubits = state.registers[register]
-    probs = np.abs(state.amplitudes) ** 2
-    if not qubits:
-        return np.array([probs.sum()])
-    indices = np.arange(len(probs), dtype=np.int64)
-    values = np.zeros(len(probs), dtype=np.int64)
-    for place, q in enumerate(qubits):
-        values |= ((indices >> q) & 1) << place
-    return np.bincount(values, weights=probs, minlength=1 << len(qubits))
+    probs, axis = _split(np.abs(state.amplitudes) ** 2, qubits)
+    # sum out every other axis; most significant place first, so that the
+    # flattened C order is the register value
+    return np.einsum(probs, list(range(probs.ndim)), [axis[q] for q in reversed(qubits)]).ravel()
 
 
 def flag_probability(state: Statevector, qubit: int) -> float:
     """Probability that the given qubit reads |1>."""
     if not 0 <= qubit < state.qubit_count:
         raise InvariantError(f"qubit {qubit} out of range")
-    indices = np.arange(len(state.amplitudes), dtype=np.int64)
-    mask = ((indices >> qubit) & 1).astype(bool)
-    return float(np.sum(np.abs(state.amplitudes[mask]) ** 2))
+    view, axis = _split(state.amplitudes, (qubit,))
+    return float(np.sum(np.abs(_fixed(view, axis, [(qubit, 1)])) ** 2))
 
 
 def sample(state: Statevector, which: str | int, shots: int, seed: int) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate, h, mct, phase_shift, ry, swap
+from .circuit import Circuit, Control, Gate, add_controls, h, inverse, mct, phase_shift, ry, swap
 from .errors import InvariantError
 
 PRE_FLIGHT = "pre_flight"
@@ -123,20 +123,6 @@ class TransportProblem:
 
     def region_index(self, position: int) -> int:
         return 1 if position >= self.boundary else 0
-
-
-def _controlled(gates, control: Control) -> list[Gate]:
-    return [Gate(g.kind, g.targets, g.controls + (control,), angle=g.angle) for g in gates]
-
-
-def _inverted(gates) -> list[Gate]:
-    out = []
-    for g in reversed(gates):
-        if g.angle is not None:
-            out.append(Gate(g.kind, g.targets, g.controls, angle=-g.angle))
-        else:
-            out.append(g)
-    return out
 
 
 # --- distribution loader ----------------------------------------------------
@@ -255,7 +241,7 @@ def _adder_gates(x_register, d_register, control: int | None) -> list[Gate]:
         for j in range(w - k):
             angle = math.pi / (1 << (w - 1 - j - k))
             gates.append(phase_shift(angle, x_register[j], [(dq, True)] + extra))
-    gates.extend(_inverted(qft))
+    gates.extend(inverse(Circuit(max(x_register) + 1, qft)).gates)
     return gates
 
 
@@ -341,13 +327,14 @@ def build_transport_circuit(problem: TransportProblem) -> TransportCircuit:
 
     gates: list[Gate] = []
     for m in range(1, n + 1):
-        comparator = _region_flag_gates(x_register, problem.boundary, anc_r)
-        gates.extend(comparator)
+        comparator = Circuit(qubit_count, _region_flag_gates(x_register, problem.boundary, anc_r))
+        gates.extend(comparator.gates)
         for polarity, spec in ((True, problem.regions[1]), (False, problem.regions[0])):
-            gates.extend(_controlled(_loader_gates(spec.distance_pmf, d_regs[m]), (anc_r, polarity)))
+            loader = Circuit(qubit_count, _loader_gates(spec.distance_pmf, d_regs[m]))
+            gates.extend(add_controls(loader, [(anc_r, polarity)]).gates)
             if m in r_qubits:
                 gates.append(ry(_reaction_angle(spec), r_qubits[m], [(anc_r, polarity)]))
-        gates.extend(_inverted(comparator))
+        gates.extend(inverse(comparator).gates)
         if dw == 0:
             continue  # no motion to gate
         gating = [r_qubits[j] for j in range(1, m + 1) if j in r_qubits]

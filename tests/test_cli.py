@@ -121,8 +121,9 @@ class TestExitCodes:
         result = run_cli("exact", "-p", str(path))
         assert result.returncode == 3
 
-    def test_capacity_is_4(self, table_a1_path):
-        result = run_cli("exact", "-p", table_a1_path, env={"QTRANSPORT_MAX_QUBITS": "10"})
+    @pytest.mark.parametrize("ceiling", ["10", "abc"])
+    def test_capacity_is_4(self, table_a1_path, ceiling):
+        result = run_cli("exact", "-p", table_a1_path, env={"QTRANSPORT_MAX_QUBITS": ceiling})
         assert result.returncode == 4
 
     def test_bad_predicate_is_5(self, table_a1_path):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from qtransport.circuit import Circuit, h, mct, ry, x
+from qtransport.circuit import Circuit, h, mct, register_value, ry, x
 from qtransport.errors import CapacityError, InvariantError
 from qtransport.sim import (
     MAX_QUBITS_ENV,
+    Statevector,
     apply,
     flag_probability,
     marginal,
@@ -115,16 +116,23 @@ class TestApply:
             state = apply(state, Circuit(5, (random_circuit(rng, 5, gates=1).gates)))
             assert abs(state.norm() - before) < 1e-12
 
-    def test_matches_dense_reference(self):
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_dense_reference(self, n):
         rng = np.random.default_rng(17)
+        dim = 1 << n
         for _ in range(5):
-            c = random_circuit(rng, 4, gates=15)
+            c = random_circuit(rng, n, gates=15)
             u = dense_unitary(c)
-            amps = rng.normal(size=16) + 1j * rng.normal(size=16)
+            amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
             amps /= np.linalg.norm(amps)
-            state = basis_state(4, 0)
+            state = basis_state(n, 0)
             state.amplitudes = amps.copy()
             np.testing.assert_allclose(apply(state, c).amplitudes, u @ amps, atol=1e-12)
+
+    def test_unnormalised_state_rejected(self):
+        state = Statevector(np.array([1.0, 1.0, 0.0, 0.0], dtype=np.complex128))
+        with pytest.raises(InvariantError):
+            apply(state, Circuit(2, (x(1),)))
 
     def test_controlled_circuit_acts_only_on_matching_subspace(self):
         from qtransport.circuit import add_controls
@@ -179,6 +187,16 @@ class TestMarginal:
     def test_register_order_is_lsb_first(self):
         state = apply(zero_state(3, {"X": (0, 1, 2)}), Circuit(3, (x(1),)))
         assert marginal(state, "X")[2] == 1.0
+
+    def test_out_of_order_register_matches_per_index_sum(self):
+        rng = np.random.default_rng(23)
+        qubits = (3, 0, 2)
+        c = Circuit(5, random_circuit(rng, 5, gates=40).gates, {"X": qubits})
+        state = apply(zero_state(5), c)
+        want = np.zeros(1 << len(qubits))
+        for b, amp in enumerate(state.amplitudes):
+            want[register_value(b, qubits)] += abs(amp) ** 2
+        np.testing.assert_allclose(marginal(state, "X"), want, atol=1e-14)
 
 
 class TestFlagProbability:
