@@ -182,7 +182,7 @@ def cmd_qae(args) -> int:
     estimate = qae.mlqae_estimate(a, tc.flag_qubit, schedule, args.shots_per_power, args.seed)
     report = estimate.to_dict()
     report["predicate"] = str(pred)
-    report["exact_p"] = qae.exact_amplitude(a, tc.flag_qubit)
+    report["exact_p"] = estimate.exact_p
     report["seed"] = args.seed
     _emit(json.dumps(report, indent=2) + "\n", args.out)
     return 0

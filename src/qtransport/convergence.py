@@ -63,15 +63,16 @@ def quantum_curve(
 ) -> list[ConvergencePoint]:
     """RMSE of MLQAE per schedule prefix, at that prefix's oracle-call budget.
 
-    The exact flag probabilities are simulated once; per seed only the shot
-    counts and likelihood maximization are redrawn.
+    The flag probability of A|0> comes from one exact pass of A and the
+    Grover-power probabilities from `qae.amplified_probabilities`; per seed
+    only the shot counts and likelihood maximization are redrawn.
     """
     schedule = tuple(int(m) for m in schedule)
     if not schedule or n_seeds < 1:
         raise InvariantError("need a non-empty schedule and at least one seed")
     tc = build_transport_circuit(problem)
     a = qae.build_a_operator(tc, pred)
-    probs = np.clip(qae.grover_flag_probabilities(a, tc.flag_qubit, schedule), 0.0, 1.0)
+    probs = qae.amplified_probabilities(qae.exact_amplitude(a, tc.flag_qubit), schedule)
     p_true = exact_predicate_probability(problem, pred)
     shots = [shots_per_power] * len(schedule)
     errors = np.zeros((n_seeds, len(schedule)))

@@ -4,8 +4,11 @@ The state-preparation operator A is the transport circuit followed by a
 predicate oracle that flips a dedicated flag qubit when the position
 register satisfies the predicate, so the flag's |1> probability is exactly
 the probability being estimated. The Grover operator Q = A S0 A^-1 S_chi
-rotates that amplitude; measuring the flag after Q^m A|0> sees probability
-sin^2((2m+1) theta) with theta = arcsin sqrt(p).
+rotates that amplitude within the plane spanned by the flagged and unflagged
+parts of A|0>, so measuring the flag after Q^m A|0> sees probability
+sin^2((2m+1) theta) with theta = arcsin sqrt(p). Estimation reads p from one
+exact pass of A and takes the Grover-power probabilities from that closed
+form; `build_grover_operator` is the gate-level Q the tests check it against.
 
 Estimation is maximum-likelihood over a schedule of Grover powers: shot
 counts at each power are fused into one likelihood over theta, maximized on
@@ -138,22 +141,18 @@ def exact_amplitude(a: Circuit, flag: int) -> float:
     return flag_probability(state, flag)
 
 
-def grover_flag_probabilities(a: Circuit, flag: int, powers) -> np.ndarray:
-    """Exact flag probabilities after Q^m A|0> for each requested power m."""
-    powers = list(powers)
-    q = build_grover_operator(a, flag)
-    state = zero_state(a.qubit_count)
-    apply_inplace(state.amplitudes, a)
-    current = 0
-    by_power = {}
-    for m in sorted(set(powers)):
-        if m < 0:
-            raise PredicateError("Grover powers must be nonnegative")
-        while current < m:
-            apply_inplace(state.amplitudes, q)
-            current += 1
-        by_power[m] = flag_probability(state, flag)
-    return np.array([by_power[m] for m in powers])
+def amplified_probabilities(p: float, powers) -> np.ndarray:
+    """Flag |1> probability after Q^m A|0> for each power m, where p is the
+    flag probability of A|0>: sin^2((2m+1) theta) with theta = arcsin sqrt(p).
+
+    p is clamped to [0, 1] first, so rounding just outside the interval
+    still gives finite probabilities.
+    """
+    powers = np.asarray(list(powers), dtype=np.int64)
+    if (powers < 0).any():
+        raise PredicateError("Grover powers must be nonnegative")
+    theta = math.asin(math.sqrt(min(max(p, 0.0), 1.0)))
+    return np.sin((2 * powers + 1) * theta) ** 2
 
 
 @dataclass
@@ -166,6 +165,7 @@ class QaeEstimate:
     schedule: tuple[int, ...]
     shots_per_power: int
     hits: tuple[int, ...]
+    exact_p: float
     log_likelihood_curve: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
@@ -184,15 +184,27 @@ def oracle_calls(schedule, shots_per_power: int) -> int:
 
 
 def _log_likelihood(theta: np.ndarray, powers, shots, hits) -> np.ndarray:
+    # In place on two scratch buffers: on the 100 001-point grid each
+    # temporary is 0.8 MB, and this loop sets the estimator's peak memory.
     tiny = 1e-300
     ll = np.zeros_like(theta)
+    sin2 = np.empty_like(theta)
+    term = np.empty_like(theta)
     for m, s, hit in zip(powers, shots, hits):
-        amplified = (2 * m + 1) * theta
-        sin2 = np.sin(amplified) ** 2
+        np.multiply(2 * m + 1, theta, out=sin2)
+        np.sin(sin2, out=sin2)
+        np.square(sin2, out=sin2)
         if hit > 0:
-            ll = ll + hit * np.log(np.maximum(sin2, tiny))
+            np.maximum(sin2, tiny, out=term)
+            np.log(term, out=term)
+            term *= hit
+            ll += term
         if s - hit > 0:
-            ll = ll + (s - hit) * np.log(np.maximum(1.0 - sin2, tiny))
+            np.subtract(1.0, sin2, out=term)
+            np.maximum(term, tiny, out=term)
+            np.log(term, out=term)
+            term *= s - hit
+            ll += term
     return ll
 
 
@@ -232,18 +244,21 @@ def mlqae_estimate(
     grid_points: int = 100_000,
     keep_curve: bool = False,
 ) -> QaeEstimate:
-    """Maximum-likelihood amplitude estimation from simulated flag counts.
+    """Maximum-likelihood amplitude estimation from sampled flag counts.
 
-    For each Grover power in the schedule the flag is measured
-    `shots_per_power` times (counts drawn from the exact simulated
-    probability), and all counts are fused into one likelihood.
+    One exact pass of A gives the flag probability p (kept as `exact_p`).
+    For each Grover power m in the schedule the flag is measured
+    `shots_per_power` times, with counts drawn from the amplified
+    probability sin^2((2m+1) arcsin sqrt(p)), and all counts are fused into
+    one likelihood.
     """
     schedule = tuple(int(m) for m in schedule)
     if not schedule:
         raise PredicateError("schedule must be non-empty")
     if shots_per_power < 1:
         raise PredicateError("shots_per_power must be >= 1")
-    probs = np.clip(grover_flag_probabilities(a, flag, schedule), 0.0, 1.0)
+    exact_p = exact_amplitude(a, flag)
+    probs = amplified_probabilities(exact_p, schedule)
     rng = np.random.default_rng(seed)
     hits = tuple(int(rng.binomial(shots_per_power, p)) for p in probs)
     shots = [shots_per_power] * len(schedule)
@@ -259,6 +274,7 @@ def mlqae_estimate(
         schedule=schedule,
         shots_per_power=shots_per_power,
         hits=hits,
+        exact_p=exact_p,
         log_likelihood_curve=curve,
     )
 

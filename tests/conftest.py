@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qtransport import RegionSpec, TransportProblem
-from qtransport.sim import Statevector
+from qtransport.qae import build_grover_operator
+from qtransport.sim import Statevector, apply_inplace, flag_probability, zero_state
 
 TABLE_A1_REGIONS = (
     RegionSpec((0.3, 0.4, 0.2, 0.1), 0.25),
@@ -60,3 +61,20 @@ def random_problem(rng: np.random.Generator, max_total_qubits: int = 16) -> Tran
             first_flight_always=first,
             reaction_timing=timing,
         )
+
+
+def simulated_grover_probabilities(a, flag: int, powers) -> np.ndarray:
+    """Flag |1> probability after Q^m A|0> for each power m, by applying the
+    gate-level Grover operator m times: the reference for the closed form."""
+    powers = list(powers)
+    q = build_grover_operator(a, flag)
+    state = zero_state(a.qubit_count)
+    apply_inplace(state.amplitudes, a)
+    current = 0
+    by_power = {}
+    for m in sorted(set(powers)):
+        while current < m:
+            apply_inplace(state.amplitudes, q)
+            current += 1
+        by_power[m] = flag_probability(state, flag)
+    return np.array([by_power[m] for m in powers])

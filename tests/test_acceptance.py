@@ -23,7 +23,6 @@ from qtransport.qae import (
     build_a_operator,
     exact_amplitude,
     exponential_schedule,
-    grover_flag_probabilities,
 )
 from qtransport.resources import circuit_budget, practical_estimate
 from qtransport.transport import (
@@ -34,7 +33,14 @@ from qtransport.transport import (
     transport_distribution,
 )
 
-from conftest import HAND_P_ZERO, TABLE_A1_REGIONS, basis_state, random_pmf, random_problem
+from conftest import (
+    HAND_P_ZERO,
+    TABLE_A1_REGIONS,
+    basis_state,
+    random_pmf,
+    random_problem,
+    simulated_grover_probabilities,
+)
 
 
 def finish(criterion: str, ok: bool, detail: str) -> None:
@@ -205,7 +211,7 @@ def test_c7_grover_identity(table_a1):
     a = build_a_operator(tc, Predicate.region2())
     p = exact_amplitude(a, tc.flag_qubit)
     theta = math.asin(math.sqrt(p))
-    probs = grover_flag_probabilities(a, tc.flag_qubit, list(range(9)))
+    probs = simulated_grover_probabilities(a, tc.flag_qubit, range(9))
     want = np.sin((2 * np.arange(9) + 1) * theta) ** 2
     err = np.abs(probs - want).max()
     finish("C7", err < 1e-9, f"max |P(flag) - sin^2((2m+1)theta)| = {err:.2e} for m=0..8")

@@ -34,8 +34,12 @@ NO_MOTION_DOC = {
 }
 
 
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
 def run_cli(*args, env=None):
     full_env = dict(os.environ)
+    full_env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, full_env.get("PYTHONPATH"))))
     if env:
         full_env.update(env)
     return subprocess.run(
@@ -218,6 +222,13 @@ class TestQae:
         doc = json.loads(result.stdout)
         assert doc["schedule"] == [0, 2, 5]
 
+    def test_negative_power_is_predicate_error(self, table_a1_path):
+        result = run_cli(
+            "qae", "-p", table_a1_path, "--predicate", "region2", "--schedule", "0,-1",
+        )
+        assert result.returncode == 5
+        assert "nonnegative" in result.stderr
+
 
 class TestResources:
     def test_flights(self):
@@ -252,6 +263,24 @@ class TestConvergence:
         assert all(float(r["rmse"]) >= 0.0 for r in rows)
         assert [int(r["budget"]) for r in rows if r["method"] == "classical"] == [100, 400]
         assert a.stdout == run_cli(*args).stdout
+
+    def test_golden_output(self, table_a1_path, capsys):
+        # Recorded while the Grover powers were still simulated gate by gate:
+        # a shift in the amplified probabilities that flips one binomial draw
+        # changes these bytes.
+        args = [
+            "convergence", "-p", table_a1_path, "--predicate", "region2",
+            "--budgets", "100,400", "--schedule", "exp:1",
+            "--shots-per-power", "30", "--seeds", "3",
+        ]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (
+            "method,budget,rmse\n"
+            "classical,100,0.02762122900355203\n"
+            "classical,400,0.02213629655113967\n"
+            "quantum,90,0.5936804486022912\n"
+            "quantum,240,0.010263260934699949\n"
+        )
 
 
 class TestDumpCircuit:

@@ -8,12 +8,13 @@ from qtransport.classical_mc import exact_distribution
 from qtransport.errors import PredicateError
 from qtransport.qae import (
     Predicate,
+    _log_likelihood,
+    amplified_probabilities,
     build_a_operator,
     build_flag_oracle,
     build_grover_operator,
     exact_amplitude,
     exponential_schedule,
-    grover_flag_probabilities,
     max_likelihood_theta,
     mlqae_estimate,
     oracle_calls,
@@ -22,7 +23,7 @@ from qtransport.qae import (
 )
 from qtransport.transport import build_region_flag, build_transport_circuit
 
-from conftest import basis_state
+from conftest import basis_state, random_problem, simulated_grover_probabilities
 
 
 def no_motion_problem():
@@ -104,7 +105,7 @@ class TestGroverOperator:
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
         p = exact_amplitude(a, tc.flag_qubit)
-        probs = grover_flag_probabilities(a, tc.flag_qubit, [0])
+        probs = simulated_grover_probabilities(a, tc.flag_qubit, [0])
         assert abs(probs[0] - p) < 1e-12
 
     def test_rotation_identity(self, table_a1):
@@ -113,14 +114,14 @@ class TestGroverOperator:
         p = exact_amplitude(a, tc.flag_qubit)
         theta = math.asin(math.sqrt(p))
         powers = list(range(9))
-        probs = grover_flag_probabilities(a, tc.flag_qubit, powers)
+        probs = simulated_grover_probabilities(a, tc.flag_qubit, powers)
         want = np.sin((2 * np.arange(9) + 1) * theta) ** 2
         np.testing.assert_allclose(probs, want, atol=1e-9)
 
     def test_zero_amplitude_is_fixed_point(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.eq(15))
-        probs = grover_flag_probabilities(a, tc.flag_qubit, [0, 1, 2, 4])
+        probs = simulated_grover_probabilities(a, tc.flag_qubit, [0, 1, 2, 4])
         assert probs.max() < 1e-12
 
     def test_structure(self, table_a1):
@@ -131,12 +132,55 @@ class TestGroverOperator:
         assert q.registers == a.registers
 
 
+def assert_closed_form_matches_gate_level(problem, text):
+    tc = build_transport_circuit(problem)
+    a = build_a_operator(tc, parse_predicate(text))
+    powers = range(9)
+    want = simulated_grover_probabilities(a, tc.flag_qubit, powers)
+    got = amplified_probabilities(exact_amplitude(a, tc.flag_qubit), powers)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
+
+
+class TestAmplifiedProbabilities:
+    @pytest.mark.parametrize("text", ["region2", "geq:8", "eq:0", "eq:5"])
+    def test_matches_gate_level_grover_on_table_a1(self, table_a1, text):
+        assert_closed_form_matches_gate_level(table_a1, text)
+
+    # Many random problems cannot move (a one-entry distance pmf), so region2
+    # has p = 0 and eq:0 has p = 1 there: both fixed points of Q are covered.
+    @pytest.mark.parametrize("text", ["region2", "eq:0"])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_gate_level_grover_on_random_problems(self, seed, text):
+        problem = random_problem(np.random.default_rng(1000 + seed))
+        assert_closed_form_matches_gate_level(problem, text)
+
+    @pytest.mark.parametrize("p, want", [(0.0, 0.0), (1.0, 1.0), (1.0 + 1e-15, 1.0), (-1e-17, 0.0)])
+    def test_edges_are_finite(self, p, want):
+        probs = amplified_probabilities(p, [0, 1, 2, 64])
+        assert np.isfinite(probs).all()
+        np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
+
+    def test_negative_power_rejected(self, table_a1):
+        with pytest.raises(PredicateError):
+            amplified_probabilities(0.3, [0, -1])
+        tc = build_transport_circuit(table_a1)
+        a = build_a_operator(tc, Predicate.region2())
+        with pytest.raises(PredicateError):
+            mlqae_estimate(a, tc.flag_qubit, [1, -2], 10, seed=0)
+
+    def test_order_and_repeats_follow_the_powers(self):
+        probs = amplified_probabilities(0.3, [4, 0, 4, 1])
+        assert probs[0] == probs[2]
+        assert probs[1] == pytest.approx(0.3, abs=1e-15)
+
+
 class TestMlqae:
     def test_power_zero_schedule_recovers_sample_mean(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
         p = exact_amplitude(a, tc.flag_qubit)
         est = mlqae_estimate(a, tc.flag_qubit, [0], shots_per_power=1_000_000, seed=3)
+        assert est.exact_p == p
         assert abs(est.p_hat - est.hits[0] / 1_000_000) < 1e-6
         assert abs(est.p_hat - p) < 4 * math.sqrt(p * (1 - p) / 1_000_000)
 
@@ -162,6 +206,23 @@ class TestMlqae:
         assert est.total_oracle_calls == sum(25 * (2 * m + 1) for m in schedule)
         assert est.total_oracle_calls == oracle_calls(schedule, 25)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_log_likelihood_matches_plain_expression(self, seed):
+        rng = np.random.default_rng(seed)
+        theta = np.linspace(0.0, math.pi / 2, 10_001)
+        powers = [0, 1, 2, 4, 8, 16, 32, 64]
+        shots = [100] * len(powers)
+        hits = [int(h) for h in rng.integers(0, 101, len(powers))]
+        hits[0], hits[1] = 0, 100  # one all-miss and one all-hit power
+        want = np.zeros_like(theta)
+        for m, s, hit in zip(powers, shots, hits):
+            sin2 = np.sin((2 * m + 1) * theta) ** 2
+            if hit > 0:
+                want = want + hit * np.log(np.maximum(sin2, 1e-300))
+            if s - hit > 0:
+                want = want + (s - hit) * np.log(np.maximum(1.0 - sin2, 1e-300))
+        np.testing.assert_array_equal(_log_likelihood(theta, powers, shots, hits), want)
+
     def test_likelihood_argmax_consistency(self):
         # exact probabilities fed as fractional frequencies pin the argmax
         # to the true angle within grid resolution
@@ -177,6 +238,23 @@ class TestMlqae:
         est1 = mlqae_estimate(a, tc.flag_qubit, [0, 1, 2], 40, seed=11)
         est2 = mlqae_estimate(a, tc.flag_qubit, [0, 1, 2], 40, seed=11)
         assert est1.p_hat == est2.p_hat and est1.hits == est2.hits
+
+    # Recorded while the Grover powers were still simulated gate by gate: a
+    # shift in the amplified probabilities that flips one binomial draw
+    # changes these counts.
+    @pytest.mark.parametrize(
+        "seed, hits",
+        [
+            (0, (99, 12, 98, 0, 42, 91, 84)),
+            (1, (99, 20, 96, 1, 38, 91, 78)),
+            (2, (100, 12, 92, 0, 38, 95, 75)),
+        ],
+    )
+    def test_golden_hits(self, table_a1, seed, hits):
+        tc = build_transport_circuit(table_a1)
+        a = build_a_operator(tc, Predicate.region2())
+        est = mlqae_estimate(a, tc.flag_qubit, exponential_schedule(6), 100, seed=seed)
+        assert est.hits == hits
 
     def test_empty_schedule_rejected(self, table_a1):
         tc = build_transport_circuit(table_a1)
