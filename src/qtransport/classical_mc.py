@@ -13,6 +13,9 @@ the landing position (which gates the next flight). The reaction deciding
 any given flight reads the same region either way, so the two timings yield
 identical final-position distributions; both loop structures are kept so
 that claim stays checkable.
+
+`run_tally` draws a batch of histories with one uniform array per draw site;
+`run_history` is that batch sampler run for one shot.
 """
 from __future__ import annotations
 
@@ -111,37 +114,10 @@ def _cdf(spec) -> np.ndarray:
     return np.cumsum(spec.distance_pmf)
 
 
-def _draw_distance(cdf: np.ndarray, u: float) -> int:
-    return min(int(np.searchsorted(cdf, u, side="right")), len(cdf) - 1)
-
-
-def run_history(problem: TransportProblem, rng: np.random.Generator) -> int:
-    """One sampled particle history; returns the final position."""
-    cdfs = [_cdf(r) for r in problem.regions]
-    scatter = [r.p_scatter for r in problem.regions]
-    x, alive = 0, True
-    pre = problem.reaction_timing == PRE_FLIGHT
-    if not pre and not problem.first_flight_always:
-        if rng.random() >= scatter[problem.region_index(x)]:
-            alive = False
-    for m in range(1, problem.max_flights + 1):
-        if pre and problem.has_reaction(m):
-            u = rng.random()
-            if alive and u >= scatter[problem.region_index(x)]:
-                alive = False
-        u = rng.random()
-        if alive:
-            x += _draw_distance(cdfs[problem.region_index(x)], u)
-        if not pre:
-            u = rng.random()
-            if alive and u >= scatter[problem.region_index(x)]:
-                alive = False
-    return x
-
-
-def _simulate_positions(problem: TransportProblem, shots: int, seed: int) -> np.ndarray:
-    """Vectorized run_history over a batch; one uniform array per draw site."""
-    rng = make_stream(seed)
+def _simulate_positions(
+    problem: TransportProblem, shots: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Final positions of a batch of histories; one uniform array per draw site."""
     cdfs = [_cdf(r) for r in problem.regions]
     scatter = np.array([r.p_scatter for r in problem.regions])
     pos = np.zeros(shots, dtype=np.int64)
@@ -171,11 +147,16 @@ def _simulate_positions(problem: TransportProblem, shots: int, seed: int) -> np.
     return pos
 
 
+def run_history(problem: TransportProblem, rng: np.random.Generator) -> int:
+    """One sampled particle history; returns the final position."""
+    return int(_simulate_positions(problem, 1, rng)[0])
+
+
 def run_tally(problem: TransportProblem, shots: int, seed: int) -> McTally:
     """Histogram `shots` histories; deterministic for a fixed seed."""
     if shots < 1:
         raise InvariantError("shots must be >= 1")
-    pos = _simulate_positions(problem, shots, seed)
+    pos = _simulate_positions(problem, shots, make_stream(seed))
     counts = np.bincount(pos, minlength=problem.position_count)
     return McTally(counts, shots, seed)
 

@@ -139,9 +139,12 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
     try:
         if text.startswith("exp:"):
             return qae.exponential_schedule(int(text[len("exp:"):]))
-        return tuple(int(part) for part in text.split(","))
+        schedule = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise PredicateError(f"bad schedule {text!r}; expected exp:K or m0,m1,...") from None
+    if any(m < 0 for m in schedule):
+        raise PredicateError(f"bad schedule {text!r}; Grover powers must be nonnegative")
+    return schedule
 
 
 def cmd_exact(args) -> int:

@@ -18,7 +18,7 @@ counts as one call, so a shot at power m costs 2m+1 calls.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -166,7 +166,6 @@ class QaeEstimate:
     shots_per_power: int
     hits: tuple[int, ...]
     exact_p: float
-    log_likelihood_curve: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     def to_dict(self) -> dict:
         return {
@@ -225,14 +224,14 @@ def max_likelihood_theta(powers, shots, hits, grid_points: int = 100_000) -> flo
     return best
 
 
-def theta_from_hits(powers, shots, hits, grid_points: int = 100_000) -> float:
+def theta_from_hits(powers, shots, hits) -> float:
     """Theta estimate from hit counts at each Grover power: 0 when every
     shot missed, pi/2 when every shot hit, else the likelihood maximum."""
     if all(hit == 0 for hit in hits):
         return 0.0
     if all(hit == s for hit, s in zip(hits, shots)):
         return math.pi / 2
-    return max_likelihood_theta(powers, shots, hits, grid_points)
+    return max_likelihood_theta(powers, shots, hits)
 
 
 def mlqae_estimate(
@@ -241,8 +240,6 @@ def mlqae_estimate(
     schedule,
     shots_per_power: int,
     seed: int,
-    grid_points: int = 100_000,
-    keep_curve: bool = False,
 ) -> QaeEstimate:
     """Maximum-likelihood amplitude estimation from sampled flag counts.
 
@@ -262,11 +259,7 @@ def mlqae_estimate(
     rng = np.random.default_rng(seed)
     hits = tuple(int(rng.binomial(shots_per_power, p)) for p in probs)
     shots = [shots_per_power] * len(schedule)
-    theta = theta_from_hits(schedule, shots, hits, grid_points)
-    curve = None
-    if keep_curve:
-        grid = np.linspace(0.0, math.pi / 2, 2001)
-        curve = (grid, _log_likelihood(grid, schedule, shots, hits))
+    theta = theta_from_hits(schedule, shots, hits)
     return QaeEstimate(
         p_hat=math.sin(theta) ** 2,
         theta_hat=theta,
@@ -275,7 +268,6 @@ def mlqae_estimate(
         shots_per_power=shots_per_power,
         hits=hits,
         exact_p=exact_p,
-        log_likelihood_curve=curve,
     )
 
 

@@ -50,19 +50,14 @@ class ResourceEstimate:
         }
 
 
-def practical_estimate(
-    n: int,
-    variables: int = VARIABLES,
-    variable_bits: int = VARIABLE_BITS,
-    adder_ancilla: int = ADDER_ANCILLA,
-) -> ResourceEstimate:
-    """Closed-form budget for n flights; constants overridable for what-ifs."""
+def practical_estimate(n: int) -> ResourceEstimate:
+    """Closed-form budget for n flights."""
     if n < 1:
         raise InvariantError("flight count must be >= 1")
     return ResourceEstimate(
         flights=n,
-        register_qubits=variable_bits * variables * (n + 1),
-        adder_ancilla_qubits=adder_ancilla * variables * n,
+        register_qubits=VARIABLE_BITS * VARIABLES * (n + 1),
+        adder_ancilla_qubits=ADDER_ANCILLA * VARIABLES * n,
         reaction_qubits=n,
         progress_ancilla=1,
     )

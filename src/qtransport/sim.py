@@ -117,7 +117,7 @@ def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
 
     Each gate reads and writes views of the amplitudes where its controls
     are satisfied; its scratch memory is at most the size of that
-    controlled subspace.
+    controlled subspace. Raises InvariantError if the result's norm is not 1.
     """
     for gate in circuit.gates:
         view, axis = _split(amplitudes, gate.qubits)
@@ -148,6 +148,9 @@ def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
             np.subtract(a0, np.multiply(a1, s, order="C"), out=a0, order="C")
             np.multiply(a1, c, out=a1, order="C")
             np.add(a1, held, out=a1, order="C")
+    norm = float(np.linalg.norm(amplitudes))
+    if abs(norm - 1.0) >= 1e-9:
+        raise InvariantError(f"statevector norm drifted to {norm!r}")
 
 
 def apply(state: Statevector, circuit: Circuit) -> Statevector:
@@ -158,10 +161,7 @@ def apply(state: Statevector, circuit: Circuit) -> Statevector:
         )
     amplitudes = state.amplitudes.copy()
     apply_inplace(amplitudes, circuit)
-    result = Statevector(amplitudes, {**state.registers, **dict(circuit.registers)})
-    if abs(result.norm() - 1.0) >= 1e-9:
-        raise InvariantError(f"statevector norm drifted to {result.norm()!r}")
-    return result
+    return Statevector(amplitudes, {**state.registers, **dict(circuit.registers)})
 
 
 def marginal(state: Statevector, register: str) -> np.ndarray:

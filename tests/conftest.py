@@ -35,10 +35,14 @@ def random_pmf(rng: np.random.Generator, length: int, allow_zeros: bool = True) 
 
 
 def random_problem(rng: np.random.Generator, max_total_qubits: int = 16) -> TransportProblem:
-    """Random valid problem whose full circuit fits in max_total_qubits."""
+    """Random valid problem whose full circuit fits in max_total_qubits.
+
+    d_max is drawn from 1..3 so that most problems move; d_max = 0 has its
+    own no-motion tests.
+    """
     while True:
         x_qubits = int(rng.integers(2, 6))
-        d_max = int(rng.integers(0, 4))
+        d_max = int(rng.integers(1, 4))
         n = int(rng.integers(1, 5))
         if n * d_max >= (1 << x_qubits):
             continue

@@ -147,6 +147,30 @@ class TestRunHistory:
         outcomes = {run_history(problem, make_stream(s)) for s in range(5)}
         assert outcomes == {0}  # absorbed at the source before any flight
 
+    # Recorded from the scalar history loop that `run_history` used to be:
+    # 30 histories read from one stream. The random_problem seeds cover both
+    # reaction timings, with first_flight_always False for 31 and 24.
+    GOLDEN = {
+        "table_a1": [1, 3, 2, 3, 4, 3, 1, 0, 4, 4, 3, 2, 0, 1, 2,
+               4, 0, 2, 0, 1, 2, 0, 0, 0, 2, 2, 6, 3, 0, 2],
+        15: [2, 0, 2, 3, 1, 2, 0, 0, 2, 1, 2, 2, 3, 1, 3,
+             0, 2, 2, 3, 2, 2, 2, 3, 1, 2, 2, 2, 2, 0, 2],
+        9: [3, 1, 1, 1, 3, 0, 0, 2, 2, 2, 3, 1, 3, 2, 2,
+            2, 2, 1, 1, 1, 2, 1, 0, 0, 0, 1, 1, 2, 0, 1],
+        31: [0, 0, 0, 0, 3, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3,
+             3, 0, 0, 3, 1, 0, 0, 0, 2, 6, 0, 3, 0, 3, 0],
+        24: [2, 3, 1, 1, 2, 2, 2, 3, 2, 3, 0, 4, 0, 2, 0,
+             2, 1, 2, 4, 1, 0, 1, 4, 0, 0, 2, 3, 3, 4, 1],
+    }
+
+    @pytest.mark.parametrize("case", ["table_a1", 15, 9, 31, 24])
+    def test_golden_outcomes(self, table_a1, case):
+        if case == "table_a1":
+            problem, rng = table_a1, make_stream(11)
+        else:
+            problem, rng = random_problem(np.random.default_rng(case)), make_stream(case)
+        assert [run_history(problem, rng) for _ in range(30)] == self.GOLDEN[case]
+
     def test_distribution_against_oracle(self, table_a1):
         histories = 20_000
         rng = make_stream(77)

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from qtransport import cli, convergence
 from qtransport.circuit import parse_circuit
 from qtransport.classical_mc import exact_distribution
 from qtransport.cli import main, parse_problem_dict, problem_to_dict
@@ -125,6 +126,15 @@ class TestExitCodes:
         result = run_cli("exact", "-p", str(path))
         assert result.returncode == 3
 
+    def test_overflow_is_3_under_optimize(self, tmp_path):
+        # PYTHONOPTIMIZE=1 is `python -O`: it strips asserts, so the exit
+        # code must come from a raised error.
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(TABLE_A1_DOC, max_flights=6)))
+        result = run_cli("exact", "-p", str(path), env={"PYTHONOPTIMIZE": "1"})
+        assert result.returncode == 3
+        assert "overflow" in result.stderr
+
     @pytest.mark.parametrize("ceiling", ["10", "abc"])
     def test_capacity_is_4(self, table_a1_path, ceiling):
         result = run_cli("exact", "-p", table_a1_path, env={"QTRANSPORT_MAX_QUBITS": ceiling})
@@ -195,6 +205,30 @@ class TestMc:
     def test_zero_shots_rejected(self, table_a1_path):
         assert run_cli("mc", "-p", table_a1_path, "--shots", "0").returncode == 3
 
+    def test_golden_flowchart_output(self, table_a1_path, capsys):
+        # Recorded from the scalar history loop that `run_history` used to
+        # be; the batch sampler reads the stream in the same order.
+        assert main(["mc", "-p", table_a1_path, "--shots", "20000", "--seed", "7"]) == 0
+        assert capsys.readouterr().out == (
+            "position,count,frequency\n"
+            "0,2145,0.10725\n"
+            "1,4144,0.2072\n"
+            "2,4272,0.2136\n"
+            "3,3949,0.19745\n"
+            "4,3015,0.15075\n"
+            "5,1640,0.082\n"
+            "6,712,0.0356\n"
+            "7,102,0.0051\n"
+            "8,21,0.00105\n"
+            "9,0,0.0\n"
+            "10,0,0.0\n"
+            "11,0,0.0\n"
+            "12,0,0.0\n"
+            "13,0,0.0\n"
+            "14,0,0.0\n"
+            "15,0,0.0\n"
+        )
+
 
 class TestQae:
     def test_region2_estimate(self, table_a1_path, table_a1):
@@ -228,6 +262,16 @@ class TestQae:
         )
         assert result.returncode == 5
         assert "nonnegative" in result.stderr
+
+    @pytest.mark.parametrize("command", ["qae", "convergence"])
+    def test_negative_power_rejected_before_any_work(self, table_a1_path, monkeypatch, command):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the schedule was checked")
+
+        monkeypatch.setattr(convergence, "classical_curve", fail)
+        monkeypatch.setattr(cli, "build_transport_circuit", fail)
+        args = [command, "-p", table_a1_path, "--predicate", "region2", "--schedule", "0,-1"]
+        assert main(args) == 5
 
 
 class TestResources:

@@ -9,6 +9,7 @@ from qtransport.sim import (
     MAX_QUBITS_ENV,
     Statevector,
     apply,
+    apply_inplace,
     flag_probability,
     marginal,
     sample,
@@ -133,6 +134,11 @@ class TestApply:
         state = Statevector(np.array([1.0, 1.0, 0.0, 0.0], dtype=np.complex128))
         with pytest.raises(InvariantError):
             apply(state, Circuit(2, (x(1),)))
+
+    def test_unnormalised_array_rejected_in_place(self):
+        amplitudes = np.array([1.0, 1.0, 0.0, 0.0], dtype=np.complex128)
+        with pytest.raises(InvariantError):
+            apply_inplace(amplitudes, Circuit(2, (x(1),)))
 
     def test_controlled_circuit_acts_only_on_matching_subspace(self):
         from qtransport.circuit import add_controls
