@@ -180,6 +180,7 @@ def cmd_qae(args) -> int:
     problem = load_problem(args.problem)
     pred = qae.parse_predicate(args.predicate)
     schedule = _parse_schedule(args.schedule)
+    qae.check_shots_per_power(args.shots_per_power)
     tc = build_transport_circuit(problem)
     a = qae.build_a_operator(tc, pred)
     estimate = qae.mlqae_estimate(a, tc.flag_qubit, schedule, args.shots_per_power, args.seed)
@@ -206,6 +207,7 @@ def cmd_convergence(args) -> int:
     problem = load_problem(args.problem)
     pred = qae.parse_predicate(args.predicate)
     schedule = _parse_schedule(args.schedule)
+    qae.check_shots_per_power(args.shots_per_power)
     try:
         budgets = tuple(int(part) for part in args.budgets.split(","))
     except ValueError:

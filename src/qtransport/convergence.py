@@ -70,6 +70,7 @@ def quantum_curve(
     schedule = tuple(int(m) for m in schedule)
     if not schedule or n_seeds < 1:
         raise InvariantError("need a non-empty schedule and at least one seed")
+    qae.check_shots_per_power(shots_per_power)
     tc = build_transport_circuit(problem)
     a = qae.build_a_operator(tc, pred)
     probs = qae.amplified_probabilities(qae.exact_amplitude(a, tc.flag_qubit), schedule)

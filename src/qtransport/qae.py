@@ -234,6 +234,12 @@ def theta_from_hits(powers, shots, hits) -> float:
     return max_likelihood_theta(powers, shots, hits)
 
 
+def check_shots_per_power(shots_per_power: int) -> None:
+    """Raise PredicateError unless every Grover power gets at least one shot."""
+    if shots_per_power < 1:
+        raise PredicateError("shots_per_power must be >= 1")
+
+
 def mlqae_estimate(
     a: Circuit,
     flag: int,
@@ -252,8 +258,7 @@ def mlqae_estimate(
     schedule = tuple(int(m) for m in schedule)
     if not schedule:
         raise PredicateError("schedule must be non-empty")
-    if shots_per_power < 1:
-        raise PredicateError("shots_per_power must be >= 1")
+    check_shots_per_power(shots_per_power)
     exact_p = exact_amplitude(a, flag)
     probs = amplified_probabilities(exact_p, schedule)
     rng = np.random.default_rng(seed)

@@ -29,7 +29,10 @@ def basis_state(n: int, index: int, registers=None) -> Statevector:
 def random_pmf(rng: np.random.Generator, length: int, allow_zeros: bool = True) -> tuple:
     weights = rng.random(length)
     if allow_zeros and length > 1 and rng.random() < 0.3:
-        weights[rng.integers(length)] = 0.0
+        zero = int(rng.integers(length))
+        # with two weights, zeroing the second leaves all mass at distance
+        # 0, a problem that never moves; zero the first instead
+        weights[zero if length > 2 else 0] = 0.0
     weights /= weights.sum()
     return tuple(weights)
 
@@ -37,8 +40,9 @@ def random_pmf(rng: np.random.Generator, length: int, allow_zeros: bool = True) 
 def random_problem(rng: np.random.Generator, max_total_qubits: int = 16) -> TransportProblem:
     """Random valid problem whose full circuit fits in max_total_qubits.
 
-    d_max is drawn from 1..3 so that most problems move; d_max = 0 has its
-    own no-motion tests.
+    d_max is drawn from 1..3 and random_pmf never puts all the mass at
+    distance 0, so every problem moves; d_max = 0 has its own no-motion
+    tests.
     """
     while True:
         x_qubits = int(rng.integers(2, 6))

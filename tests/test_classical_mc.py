@@ -148,8 +148,38 @@ class TestRunHistory:
         assert outcomes == {0}  # absorbed at the source before any flight
 
     # Recorded from the scalar history loop that `run_history` used to be:
-    # 30 histories read from one stream. The random_problem seeds cover both
-    # reaction timings, with first_flight_always False for 31 and 24.
+    # 30 histories read from one stream. The numbered cases are the problems
+    # random_problem drew for those seeds when the goldens were recorded,
+    # written out so that a change to the generator cannot move them (seed
+    # 9's second region has the pmf (1, 0), which random_pmf no longer
+    # draws). They cover both reaction timings, with first_flight_always
+    # False for 31 and 24.
+    PROBLEMS = {
+        15: TransportProblem(
+            x_qubits=5, max_flights=3, boundary=2, regions=(
+                RegionSpec((0.32076694663426714, 0.08206949633172494,
+                            0.4033576037172049, 0.19380595331680303), 0.9759378873901753),
+                RegionSpec((0.3430187951489049, 0.0,
+                            0.24366339729195852, 0.4133178075591367), 0.8891839058918612),
+            ), first_flight_always=True, reaction_timing="pre_flight"),
+        9: TransportProblem(
+            x_qubits=3, max_flights=3, boundary=4, regions=(
+                RegionSpec((0.5154823976586095, 0.4845176023413905), 0.026587734467597213),
+                RegionSpec((1.0, 0.0), 0.830621436971257),
+            ), first_flight_always=True, reaction_timing="post_flight"),
+        31: TransportProblem(
+            x_qubits=4, max_flights=2, boundary=4, regions=(
+                RegionSpec((0.7169861353470476, 0.04197388508827875,
+                            0.054201372395644404, 0.1868386071690293), 0.30215842733294396),
+                RegionSpec((0.23713295649829208, 0.39523516519565677,
+                            0.2832548119604861, 0.08437706634556508), 0.10374287484520117),
+            ), first_flight_always=False, reaction_timing="pre_flight"),
+        24: TransportProblem(
+            x_qubits=3, max_flights=4, boundary=4, regions=(
+                RegionSpec((0.4975858523868078, 0.502414147613192), 0.08643046099097307),
+                RegionSpec((0.4750800250192385, 0.5249199749807616), 0.40992560718649773),
+            ), first_flight_always=False, reaction_timing="post_flight"),
+    }
     GOLDEN = {
         "table_a1": [1, 3, 2, 3, 4, 3, 1, 0, 4, 4, 3, 2, 0, 1, 2,
                4, 0, 2, 0, 1, 2, 0, 0, 0, 2, 2, 6, 3, 0, 2],
@@ -168,8 +198,26 @@ class TestRunHistory:
         if case == "table_a1":
             problem, rng = table_a1, make_stream(11)
         else:
-            problem, rng = random_problem(np.random.default_rng(case)), make_stream(case)
+            problem, rng = self.PROBLEMS[case], make_stream(case)
         assert [run_history(problem, rng) for _ in range(30)] == self.GOLDEN[case]
+
+    @pytest.mark.parametrize(
+        "timing, first, sites",
+        [("pre_flight", True, 5), ("pre_flight", False, 6),
+         ("post_flight", True, 6), ("post_flight", False, 7)],
+    )
+    def test_stream_advance_after_absorption(self, timing, first, sites):
+        # absorbed at its first reaction, the history must still take one
+        # draw per draw site, or the caller's next history reads a shifted
+        # stream
+        problem = single_region(
+            [0.5, 0.5], 1.0, flights=3, first_flight_always=first, reaction_timing=timing
+        )
+        rng = make_stream(4)
+        run_history(problem, rng)
+        fresh = make_stream(4)
+        fresh.random(sites)
+        assert rng.random() == fresh.random()
 
     def test_distribution_against_oracle(self, table_a1):
         histories = 20_000
@@ -183,6 +231,79 @@ class TestRunHistory:
 
 
 class TestRunTally:
+    # Recorded before the sampler worked on live histories only: counts of
+    # 20k shots with seed 3, trailing zero bins dropped. The pre- and
+    # post-flight loops read the stream alike except for the post-flight
+    # loop's last reaction, which moves no history, so the two timings share
+    # a golden.
+    GOLDEN = {
+        "first": [
+            114, 230, 437, 648, 354, 432, 475, 381, 425, 453, 384, 395, 384, 346, 376,
+            350, 361, 372, 312, 338, 304, 282, 333, 288, 280, 271, 256, 263, 271, 246,
+            234, 225, 207, 213, 251, 219, 208, 175, 193, 190, 196, 177, 154, 161, 170,
+            192, 177, 138, 155, 164, 165, 166, 174, 178, 162, 209, 228, 233, 255, 293,
+            307, 316, 358, 360, 612, 589, 500, 284, 199, 113, 57, 39, 30, 9, 2, 0, 2,
+        ],
+        "gated": [
+            1094, 251, 383, 669, 353, 424, 475, 358, 408, 443, 414, 380, 354, 330, 359,
+            318, 301, 335, 320, 279, 298, 339, 263, 261, 267, 267, 250, 219, 239, 233,
+            227, 238, 229, 236, 207, 189, 192, 164, 214, 182, 189, 172, 162, 160, 148,
+            175, 159, 140, 146, 156, 171, 160, 154, 174, 168, 186, 203, 217, 225, 255,
+            295, 304, 295, 333, 555, 601, 491, 274, 162, 94, 58, 25, 21, 3, 1, 4, 0, 1,
+            1,
+        ],
+        "absorbing": [1865, 3615, 5636, 7513, 450, 495, 341, 38, 26, 15, 2, 3, 0, 1],
+        "d_max1": [
+            408, 1364, 1214, 1182, 1082, 1039, 982, 923, 831, 741, 745, 597, 621, 576,
+            476, 512, 1601, 1310, 1191, 959, 705, 495, 236, 137, 50, 20, 2, 0, 1,
+        ],
+        "d_max7": [
+            1690, 172, 279, 389, 389, 442, 425, 388, 358, 353, 359, 319, 341, 334, 338,
+            322, 354, 314, 292, 305, 267, 276, 257, 274, 245, 238, 261, 225, 212, 225,
+            239, 219, 209, 193, 200, 198, 200, 190, 168, 162, 157, 174, 188, 160, 154,
+            177, 136, 143, 133, 146, 135, 127, 154, 118, 117, 119, 128, 111, 106, 118,
+            94, 121, 97, 101, 243, 285, 278, 270, 272, 211, 211, 179, 175, 139, 129,
+            153, 130, 130, 112, 114, 88, 108, 98, 82, 84, 87, 63, 52, 58, 53, 52, 48,
+            43, 37, 24, 26, 27, 13, 18, 16, 10, 12, 4, 11, 5, 3, 0, 2, 2, 1, 1, 2, 2, 1,
+            0, 0, 0, 0, 1,
+        ],
+    }
+
+    @staticmethod
+    def golden_problem(case, timing):
+        # 32 flights with boundary 64: most histories reach region 2
+        # ("absorbing": every history is absorbed long before the last flight)
+        if case == "d_max1":
+            return TransportProblem(
+                x_qubits=6, max_flights=32, boundary=16, reaction_timing=timing,
+                regions=(RegionSpec((0.3, 0.7), 0.05), RegionSpec((0.6, 0.4), 0.1)),
+            )
+        if case == "d_max7":
+            regions = (
+                RegionSpec((0.05, 0.1, 0.15, 0.2, 0.2, 0.15, 0.1, 0.05), 0.08),
+                RegionSpec((0.3, 0.25, 0.15, 0.1, 0.08, 0.06, 0.04, 0.02), 0.15),
+            )
+            first = False
+        else:
+            absorb = (0.9, 0.95) if case == "absorbing" else (0.05, 0.2)
+            regions = (
+                RegionSpec((0.1, 0.2, 0.3, 0.4), absorb[0]),
+                RegionSpec((0.4, 0.3, 0.2, 0.1), absorb[1]),
+            )
+            first = case != "gated"
+        return TransportProblem(
+            x_qubits=8, max_flights=32, boundary=64, regions=regions,
+            first_flight_always=first, reaction_timing=timing,
+        )
+
+    @pytest.mark.parametrize("timing", ["pre_flight", "post_flight"])
+    @pytest.mark.parametrize("case", ["first", "gated", "absorbing", "d_max1", "d_max7"])
+    def test_golden_counts(self, case, timing):
+        counts = run_tally(self.golden_problem(case, timing), 20_000, seed=3).counts
+        want = self.GOLDEN[case]
+        assert counts[: len(want)].tolist() == want
+        assert not counts[len(want):].any()
+
     def test_deterministic(self, table_a1):
         a = run_tally(table_a1, 10_000, seed=5)
         b = run_tally(table_a1, 10_000, seed=5)
@@ -294,3 +415,16 @@ class TestExactDistribution:
 
         for problem in (table_a1, single_region([0.5, 0.3, 0.2], 0.3)):
             assert mean(bump(problem)) >= mean(problem) - 1e-12
+
+
+class TestRandomProblem:
+    def test_no_static_problems(self):
+        # a problem that never leaves x = 0 adds nothing to the tests drawn
+        # over random_problem; pmfs with a zero weight must still occur
+        problems = [random_problem(np.random.default_rng(seed)) for seed in range(2000)]
+        static = [
+            seed for seed, problem in enumerate(problems)
+            if exact_distribution(problem)[0] > 1 - 1e-9
+        ]
+        assert static == []
+        assert any(0.0 in r.distance_pmf for problem in problems for r in problem.regions)

@@ -273,6 +273,20 @@ class TestQae:
         args = [command, "-p", table_a1_path, "--predicate", "region2", "--schedule", "0,-1"]
         assert main(args) == 5
 
+    @pytest.mark.parametrize("command", ["qae", "convergence"])
+    @pytest.mark.parametrize("shots", ["0", "-2"])
+    def test_nonpositive_shots_rejected_before_any_work(
+        self, table_a1_path, monkeypatch, capsys, command, shots
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the shot count was checked")
+
+        monkeypatch.setattr(convergence, "classical_curve", fail)
+        monkeypatch.setattr(cli, "build_transport_circuit", fail)
+        args = [command, "-p", table_a1_path, "--predicate", "region2", "--shots-per-power", shots]
+        assert main(args) == 5
+        assert "shots_per_power must be >= 1" in capsys.readouterr().err
+
 
 class TestResources:
     def test_flights(self):

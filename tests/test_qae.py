@@ -5,6 +5,7 @@ import pytest
 
 from qtransport import RegionSpec, TransportProblem, sim
 from qtransport.classical_mc import exact_distribution
+from qtransport.convergence import quantum_curve
 from qtransport.errors import PredicateError
 from qtransport.qae import (
     Predicate,
@@ -261,6 +262,16 @@ class TestMlqae:
         a = build_a_operator(tc, Predicate.region2())
         with pytest.raises(PredicateError):
             mlqae_estimate(a, tc.flag_qubit, [], 10, seed=0)
+
+    @pytest.mark.parametrize("shots", [0, -2])
+    def test_nonpositive_shots_rejected(self, table_a1, shots):
+        pred = Predicate.region2()
+        tc = build_transport_circuit(table_a1)
+        a = build_a_operator(tc, pred)
+        with pytest.raises(PredicateError):
+            mlqae_estimate(a, tc.flag_qubit, [0, 1], shots, seed=0)
+        with pytest.raises(PredicateError):
+            quantum_curve(table_a1, pred, [0, 1], shots, 3)
 
     def test_exponential_schedule(self):
         assert exponential_schedule(6) == (1, 2, 4, 8, 16, 32, 64)
