@@ -42,7 +42,7 @@ from .qae import (
     mlqae_estimate,
 )
 from .resources import ResourceEstimate, circuit_budget, practical_estimate
-from .sim import Statevector, apply, flag_probability, marginal, sample, zero_state
+from .sim import apply_inplace, flag_probability, marginal, sample, zero_state
 from .transport import (
     RegionSpec,
     TransportCircuit,

@@ -40,10 +40,9 @@ from .transport import PRE_FLIGHT, TransportProblem
 FLIGHT_CAP = 10**6
 
 
-def make_stream(seed: int, index: int | None = None) -> np.random.Generator:
-    """Independent generator for (seed, index); same pair, same sequence."""
-    entropy = [seed] if index is None else [seed, index]
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+def make_stream(seed: int) -> np.random.Generator:
+    """Independent generator for a seed; same seed, same sequence."""
+    return np.random.default_rng(np.random.SeedSequence([seed]))
 
 
 @dataclass

@@ -136,9 +136,9 @@ def build_grover_operator(a: Circuit, flag: int) -> Circuit:
 
 def exact_amplitude(a: Circuit, flag: int) -> float:
     """Flag |1> probability of A|0>, bypassing estimation."""
-    state = zero_state(a.qubit_count)
-    apply_inplace(state.amplitudes, a)
-    return flag_probability(state, flag)
+    amplitudes = zero_state(a.qubit_count)
+    apply_inplace(amplitudes, a)
+    return flag_probability(amplitudes, flag)
 
 
 def amplified_probabilities(p: float, powers) -> np.ndarray:

@@ -1,20 +1,21 @@
 """Dense statevector engine.
 
-Amplitudes live in one complex128 array indexed LSB-first (bit i of the
-basis index is qubit i). `apply_inplace` is the one gate kernel: it views
-the array with a length-2 axis per qubit a gate touches and one merged axis
-per run of untouched qubits, then fixes the control axes, so each gate reads
-and writes basic-slicing views of its controlled subspace and no index
-arrays are built. `marginal` and `flag_probability` read the same layout.
+A state is a plain complex128 array of 2^n amplitudes indexed LSB-first
+(bit i of the basis index is qubit i); `zero_state` makes one. Registers are
+passed as tuples of qubits, as in `Circuit.registers`. `apply_inplace` is
+the one way to run a circuit and the one gate kernel: it views the array
+with a length-2 axis per qubit a gate touches and one merged axis per run
+of untouched qubits, then fixes the control axes, so each gate reads and
+writes basic-slicing views of its controlled subspace and no index arrays
+are built. `marginal` and `flag_probability` read the same layout.
 
-Shot sampling is sequential and vectorized from a single seeded stream, so
-counts are bit-identical for a given seed no matter how the surrounding
-code is parallelized.
+`sample` draws shots from a probability vector sequentially and vectorized
+from a single seeded stream, so counts are bit-identical for a given seed
+no matter how the surrounding code is parallelized.
 """
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,23 +42,8 @@ def engine_max_qubits() -> int:
     return ceiling
 
 
-@dataclass
-class Statevector:
-    """2^n complex amplitudes plus the register map of the circuit that made it."""
-
-    amplitudes: np.ndarray
-    registers: dict[str, tuple[int, ...]] = field(default_factory=dict)
-
-    @property
-    def qubit_count(self) -> int:
-        return int(len(self.amplitudes)).bit_length() - 1
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-
-def zero_state(n: int, registers: dict[str, tuple[int, ...]] | None = None) -> Statevector:
-    """|0...0> on n qubits; rejects n outside [1, engine ceiling]."""
+def zero_state(n: int) -> np.ndarray:
+    """|0...0> as 2^n complex128 amplitudes; rejects n outside [1, engine ceiling]."""
     if n < 1:
         raise InvariantError("need at least one qubit")
     ceiling = engine_max_qubits()
@@ -65,7 +51,7 @@ def zero_state(n: int, registers: dict[str, tuple[int, ...]] | None = None) -> S
         raise CapacityError(f"{n} qubits exceeds the configured ceiling of {ceiling}")
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
     amplitudes[0] = 1.0
-    return Statevector(amplitudes, dict(registers or {}))
+    return amplitudes
 
 
 def _split(amplitudes: np.ndarray, qubits) -> tuple[np.ndarray, dict[int, int]]:
@@ -117,8 +103,14 @@ def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
 
     Each gate reads and writes views of the amplitudes where its controls
     are satisfied; its scratch memory is at most the size of that
-    controlled subspace. Raises InvariantError if the result's norm is not 1.
+    controlled subspace. Raises InvariantError if the array does not hold
+    2^n amplitudes for the circuit's n qubits, or if the result's norm is
+    not 1.
     """
+    if len(amplitudes) != 1 << circuit.qubit_count:
+        raise InvariantError(
+            f"circuit has {circuit.qubit_count} qubits, state has {len(amplitudes)} amplitudes"
+        )
     for gate in circuit.gates:
         view, axis = _split(amplitudes, gate.qubits)
         controls = [(q, int(positive)) for q, positive in gate.controls]
@@ -153,49 +145,32 @@ def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
         raise InvariantError(f"statevector norm drifted to {norm!r}")
 
 
-def apply(state: Statevector, circuit: Circuit) -> Statevector:
-    """Run a circuit on a state, returning the new state (input untouched)."""
-    if circuit.qubit_count != state.qubit_count:
-        raise InvariantError(
-            f"circuit has {circuit.qubit_count} qubits, state has {state.qubit_count}"
-        )
-    amplitudes = state.amplitudes.copy()
-    apply_inplace(amplitudes, circuit)
-    return Statevector(amplitudes, {**state.registers, **dict(circuit.registers)})
-
-
-def marginal(state: Statevector, register: str) -> np.ndarray:
-    """Probability of each integer value of a named register (length 2^width)."""
-    if register not in state.registers:
-        raise InvariantError(f"unknown register {register!r}")
-    qubits = state.registers[register]
-    probs, axis = _split(np.abs(state.amplitudes) ** 2, qubits)
+def marginal(amplitudes: np.ndarray, qubits) -> np.ndarray:
+    """Probability of each integer value of the register on `qubits`
+    (LSB first), as an array of length 2^len(qubits)."""
+    probs = np.abs(amplitudes)
+    np.square(probs, out=probs)
+    probs, axis = _split(probs, qubits)
     # sum out every other axis; most significant place first, so that the
     # flattened C order is the register value
     return np.einsum(probs, list(range(probs.ndim)), [axis[q] for q in reversed(qubits)]).ravel()
 
 
-def flag_probability(state: Statevector, qubit: int) -> float:
+def flag_probability(amplitudes: np.ndarray, qubit: int) -> float:
     """Probability that the given qubit reads |1>."""
-    if not 0 <= qubit < state.qubit_count:
+    if not 0 <= qubit < len(amplitudes).bit_length() - 1:
         raise InvariantError(f"qubit {qubit} out of range")
-    view, axis = _split(state.amplitudes, (qubit,))
+    view, axis = _split(amplitudes, (qubit,))
     return float(np.sum(np.abs(_fixed(view, axis, [(qubit, 1)])) ** 2))
 
 
-def sample(state: Statevector, which: str | int, shots: int, seed: int) -> np.ndarray:
-    """Counts of measurement outcomes of a register (by name) or single qubit.
+def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts of `shots` outcomes drawn i.i.d. from a probability vector.
 
-    Outcomes are drawn i.i.d. from the exact probabilities; identical seeds
-    give identical counts.
+    Identical seeds give identical counts.
     """
     if shots < 1:
         raise InvariantError("shots must be >= 1")
-    if isinstance(which, str):
-        probs = marginal(state, which)
-    else:
-        p1 = flag_probability(state, which)
-        probs = np.array([1.0 - p1, p1])
     cdf = np.cumsum(probs)
     u = np.random.default_rng(seed).random(shots)
     outcomes = np.searchsorted(cdf, u, side="right")

@@ -121,9 +121,6 @@ class TransportProblem:
         """Whether flight m carries a reaction register R_m."""
         return flight >= 2 or not self.first_flight_always
 
-    def region_index(self, position: int) -> int:
-        return 1 if position >= self.boundary else 0
-
 
 # --- distribution loader ----------------------------------------------------
 
@@ -355,5 +352,6 @@ def transport_distribution(problem: TransportProblem) -> np.ndarray:
     from . import sim
 
     tc = build_transport_circuit(problem)
-    state = sim.apply(sim.zero_state(tc.circuit.qubit_count), tc.circuit)
-    return sim.marginal(state, "X")
+    amplitudes = sim.zero_state(tc.circuit.qubit_count)
+    sim.apply_inplace(amplitudes, tc.circuit)
+    return sim.marginal(amplitudes, tc.x_register)

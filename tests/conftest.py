@@ -3,7 +3,7 @@ import pytest
 
 from qtransport import RegionSpec, TransportProblem
 from qtransport.qae import build_grover_operator
-from qtransport.sim import Statevector, apply_inplace, flag_probability, zero_state
+from qtransport.sim import apply_inplace, flag_probability, zero_state
 
 TABLE_A1_REGIONS = (
     RegionSpec((0.3, 0.4, 0.2, 0.1), 0.25),
@@ -20,10 +20,10 @@ def table_a1() -> TransportProblem:
     return TransportProblem(x_qubits=4, max_flights=3, boundary=4, regions=TABLE_A1_REGIONS)
 
 
-def basis_state(n: int, index: int, registers=None) -> Statevector:
+def basis_state(n: int, index: int) -> np.ndarray:
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
     amplitudes[index] = 1.0
-    return Statevector(amplitudes, dict(registers or {}))
+    return amplitudes
 
 
 def random_pmf(rng: np.random.Generator, length: int, allow_zeros: bool = True) -> tuple:
@@ -77,12 +77,12 @@ def simulated_grover_probabilities(a, flag: int, powers) -> np.ndarray:
     powers = list(powers)
     q = build_grover_operator(a, flag)
     state = zero_state(a.qubit_count)
-    apply_inplace(state.amplitudes, a)
+    apply_inplace(state, a)
     current = 0
     by_power = {}
     for m in sorted(set(powers)):
         while current < m:
-            apply_inplace(state.amplitudes, q)
+            apply_inplace(state, q)
             current += 1
         by_power[m] = flag_probability(state, flag)
     return np.array([by_power[m] for m in powers])

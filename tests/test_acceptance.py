@@ -78,7 +78,8 @@ def test_c2_gadget_exhaustiveness(table_a1):
                 idx = encode_register((0, 1, 2, 3), xv)
                 idx = encode_register((4, 5), dv, idx)
                 idx = encode_register((6,), ctrl, idx)
-                out = sim.apply(basis_state(7, idx), adder).amplitudes
+                out = basis_state(7, idx)
+                sim.apply_inplace(out, adder)
                 want = encode_register((0, 1, 2, 3), (xv + dv) % 16 if ctrl else xv, idx & ~0b1111)
                 adder_err = max(adder_err, abs(out[want] - 1.0))
 
@@ -86,7 +87,8 @@ def test_c2_gadget_exhaustiveness(table_a1):
     comparator = build_region_flag((0, 1, 2, 3), 4, 4)
     comparator_ok = True
     for xv in range(16):
-        out = sim.apply(basis_state(5, encode_register((0, 1, 2, 3), xv)), comparator).amplitudes
+        out = basis_state(5, encode_register((0, 1, 2, 3), xv))
+        sim.apply_inplace(out, comparator)
         want = encode_register((0, 1, 2, 3), xv, encode_register((4,), int(xv >= 4)))
         comparator_ok &= out[want] == 1.0
 
@@ -95,7 +97,8 @@ def test_c2_gadget_exhaustiveness(table_a1):
     for k in range(1, 4):
         gate = Circuit(k + 1, (mct(tuple(range(k)), k),))
         for b in range(1 << (k + 1)):
-            out = sim.apply(basis_state(k + 1, b), gate).amplitudes
+            out = basis_state(k + 1, b)
+            sim.apply_inplace(out, gate)
             want = b ^ (1 << k) if all((b >> q) & 1 for q in range(k)) else b
             mct_ok &= out[want] == 1.0
 
@@ -106,7 +109,8 @@ def test_c2_gadget_exhaustiveness(table_a1):
     problems += [random_problem(rng, max_total_qubits=14) for _ in range(5)]
     for problem in problems:
         tc = build_transport_circuit(problem)
-        state = sim.apply(sim.zero_state(tc.circuit.qubit_count), tc.circuit)
+        state = sim.zero_state(tc.circuit.qubit_count)
+        sim.apply_inplace(state, tc.circuit)
         anc_worst = max(
             anc_worst,
             sim.flag_probability(state, tc.anc_p_qubit),
@@ -124,8 +128,9 @@ def test_c2_gadget_exhaustiveness(table_a1):
 def test_c3_loader_fidelity():
     def loaded(pmf, width):
         c = build_distribution_loader(pmf, width)
-        state = sim.apply(sim.zero_state(width, c.registers), c)
-        return sim.marginal(state, "D")
+        state = sim.zero_state(width)
+        sim.apply_inplace(state, c)
+        return sim.marginal(state, c.registers["D"])
 
     worst = 0.0
     for spec in TABLE_A1_REGIONS:
@@ -143,8 +148,11 @@ def test_c3_loader_fidelity():
     from qtransport.transport import build_reaction_rotation
 
     rotation = build_reaction_rotation(TABLE_A1_REGIONS, 0, 1)
-    p_region1 = sim.flag_probability(sim.apply(basis_state(2, 0), rotation), 1)
-    p_region2 = sim.flag_probability(sim.apply(basis_state(2, 1), rotation), 1)
+    region1, region2 = basis_state(2, 0), basis_state(2, 1)
+    sim.apply_inplace(region1, rotation)
+    sim.apply_inplace(region2, rotation)
+    p_region1 = sim.flag_probability(region1, 1)
+    p_region2 = sim.flag_probability(region2, 1)
     reaction_err = max(abs(p_region1 - 0.75), abs(p_region2 - 0.60))
 
     finish(

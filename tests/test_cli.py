@@ -341,6 +341,19 @@ class TestConvergence:
         )
 
 
+    def test_too_wide_rejected_before_any_tally(self, tmp_path, monkeypatch, capsys):
+        # 32 flights make a 106-qubit circuit, past the dense engine's ceiling
+        def fail(*args, **kwargs):
+            raise AssertionError("tallied before the circuit width was checked")
+
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=8, max_flights=32, boundary=64)))
+        monkeypatch.setattr(convergence, "classical_curve", fail)
+        args = ["convergence", "-p", str(path), "--predicate", "region2", "--schedule", "exp:2"]
+        assert main(args) == 4
+        assert "106 qubits exceeds" in capsys.readouterr().err
+
+
 class TestDumpCircuit:
     def test_round_trip_and_structure(self, table_a1_path):
         result = run_cli("dump-circuit", "-p", table_a1_path)

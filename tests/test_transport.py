@@ -66,8 +66,9 @@ class TestProblemValidation:
 class TestDistributionLoader:
     def loaded_marginal(self, pmf, width):
         c = build_distribution_loader(pmf, width)
-        state = sim.apply(sim.zero_state(max(width, 1), c.registers), c)
-        return sim.marginal(state, "D")
+        state = sim.zero_state(max(width, 1))
+        sim.apply_inplace(state, c)
+        return sim.marginal(state, c.registers["D"])
 
     def test_reference_angle_tree(self):
         c = build_distribution_loader((0.3, 0.4, 0.2, 0.1), 2)
@@ -85,8 +86,9 @@ class TestDistributionLoader:
         c = build_distribution_loader((1.0, 0.0, 0.0, 0.0), 2)
         assert all(g.angle == 0.0 for g in c.gates)
         assert len(c.gates) == 2  # the empty {2,3} branch is skipped
-        state = sim.apply(sim.zero_state(2, c.registers), c)
-        assert state.amplitudes[0] == 1.0
+        state = sim.zero_state(2)
+        sim.apply_inplace(state, c)
+        assert state[0] == 1.0
 
     def test_zero_tail_branch_angle(self):
         # region-2 style pmf: the {2,3} branch carries all its mass at 2
@@ -127,7 +129,8 @@ class TestRegionFlag:
     def test_exhaustive(self, boundary):
         c = build_region_flag((0, 1, 2, 3), boundary, 4)
         for xv in range(16):
-            out = sim.apply(basis_state(5, encode_register((0, 1, 2, 3), xv)), c).amplitudes
+            out = basis_state(5, encode_register((0, 1, 2, 3), xv))
+            sim.apply_inplace(out, c)
             want = encode_register((0, 1, 2, 3), xv, encode_register((4,), int(xv >= boundary)))
             assert out[want] == 1.0
 
@@ -141,7 +144,8 @@ class TestRegionFlag:
 class TestReactionRotation:
     def probability(self, anc_value):
         c = build_reaction_rotation(TABLE_A1_REGIONS, 0, 1)
-        state = sim.apply(basis_state(2, anc_value), c)
+        state = basis_state(2, anc_value)
+        sim.apply_inplace(state, c)
         return sim.flag_probability(state, 1)
 
     def test_region1_scatter_probability(self):
@@ -154,22 +158,25 @@ class TestReactionRotation:
         regions = (RegionSpec((1.0,), 1.0), RegionSpec((1.0,), 1.0))
         c = build_reaction_rotation(regions, 0, 1)
         assert all(g.angle == 0.0 for g in c.gates)
-        state = sim.apply(basis_state(2, 0), c)
-        assert state.amplitudes[0] == 1.0
+        state = basis_state(2, 0)
+        sim.apply_inplace(state, c)
+        assert state[0] == 1.0
 
 
 class TestControlledAdder:
     def test_simple_addition(self):
         c = build_controlled_adder((0, 1, 2, 3), (4, 5), 6)
         idx = encode_register((0, 1, 2, 3), 5, encode_register((4, 5), 3, 1 << 6))
-        out = sim.apply(basis_state(7, idx), c).amplitudes
+        out = basis_state(7, idx)
+        sim.apply_inplace(out, c)
         want = encode_register((0, 1, 2, 3), 8, encode_register((4, 5), 3, 1 << 6))
         assert abs(out[want] - 1.0) < 1e-10
 
     def test_gated_off(self):
         c = build_controlled_adder((0, 1, 2, 3), (4, 5), 6)
         idx = encode_register((0, 1, 2, 3), 5, encode_register((4, 5), 3))
-        out = sim.apply(basis_state(7, idx), c).amplitudes
+        out = basis_state(7, idx)
+        sim.apply_inplace(out, c)
         assert abs(out[idx] - 1.0) < 1e-10
 
     def test_exhaustive_modular_addition(self):
@@ -180,7 +187,8 @@ class TestControlledAdder:
                     idx = encode_register((0, 1, 2, 3), xv)
                     idx = encode_register((4, 5), dv, idx)
                     idx = encode_register((6,), ctrl, idx)
-                    out = sim.apply(basis_state(7, idx), c).amplitudes
+                    out = basis_state(7, idx)
+                    sim.apply_inplace(out, c)
                     target_x = (xv + dv) % 16 if ctrl else xv
                     want = encode_register((0, 1, 2, 3), target_x, idx & ~0b1111)
                     assert abs(out[want] - 1.0) < 1e-10
@@ -188,7 +196,8 @@ class TestControlledAdder:
     def test_uncontrolled_form(self):
         c = build_controlled_adder((0, 1, 2), (3,))
         idx = encode_register((0, 1, 2), 6, encode_register((3,), 1))
-        out = sim.apply(basis_state(4, idx), c).amplitudes
+        out = basis_state(4, idx)
+        sim.apply_inplace(out, c)
         want = encode_register((0, 1, 2), 7, encode_register((3,), 1))
         assert abs(out[want] - 1.0) < 1e-10
 
@@ -256,7 +265,8 @@ class TestTransportCircuit:
 
     def test_ancillae_restored(self, table_a1):
         tc = build_transport_circuit(table_a1)
-        state = sim.apply(sim.zero_state(tc.circuit.qubit_count), tc.circuit)
+        state = sim.zero_state(tc.circuit.qubit_count)
+        sim.apply_inplace(state, tc.circuit)
         assert sim.flag_probability(state, tc.anc_p_qubit) < 1e-12
         assert sim.flag_probability(state, tc.anc_r_qubit) < 1e-12
 
