@@ -1,10 +1,11 @@
 """Gate-level circuit IR: a minimal gate set with polarity-tagged controls.
 
-Five primitive kinds (PauliX, Hadamard, RotY, PhaseShift, Swap) cover every
-construction in this package: multi-controlled Toffolis are a single PauliX
-gate with k controls, rotation trees are controlled RotY gates, and the
-Fourier-basis adder uses Hadamard/PhaseShift/Swap. Negative controls are
-first class, so no X-sandwich conjugation is needed to condition on |0>.
+Four single-target primitive kinds (PauliX, Hadamard, RotY, PhaseShift)
+cover every construction in this package: multi-controlled Toffolis are a
+single PauliX gate with k controls, rotation trees are controlled RotY
+gates, and the Fourier-basis adder uses Hadamard/PhaseShift. Negative
+controls are first class, so no X-sandwich conjugation is needed to
+condition on |0>.
 
 Conventions:
     - qubit i of a register is the 2^i place (LSB-first); all register I/O
@@ -31,7 +32,6 @@ class GateKind(Enum):
     HADAMARD = "Hadamard"
     ROT_Y = "RotY"
     PHASE_SHIFT = "PhaseShift"
-    SWAP = "Swap"
 
 
 _PARAMETRIC = frozenset({GateKind.ROT_Y, GateKind.PHASE_SHIFT})
@@ -39,7 +39,7 @@ _PARAMETRIC = frozenset({GateKind.ROT_Y, GateKind.PHASE_SHIFT})
 
 @dataclass(frozen=True)
 class Gate:
-    """One primitive operation: a kind, target qubit(s), and optional controls."""
+    """One primitive operation: a kind, a 1-tuple target, and optional controls."""
 
     kind: GateKind
     targets: tuple[int, ...]
@@ -49,9 +49,8 @@ class Gate:
     def __post_init__(self):
         object.__setattr__(self, "targets", tuple(self.targets))
         object.__setattr__(self, "controls", tuple((int(q), bool(p)) for q, p in self.controls))
-        n_targets = 2 if self.kind is GateKind.SWAP else 1
-        if len(self.targets) != n_targets:
-            raise InvariantError(f"{self.kind.value} takes {n_targets} target(s), got {self.targets}")
+        if len(self.targets) != 1:
+            raise InvariantError(f"{self.kind.value} takes one target, got {self.targets}")
         if self.kind in _PARAMETRIC:
             if self.angle is None or not math.isfinite(self.angle):
                 raise InvariantError(f"{self.kind.value} requires a finite angle, got {self.angle}")
@@ -83,10 +82,6 @@ def ry(angle: float, target: int, controls: Iterable[Control] = ()) -> Gate:
 
 def phase_shift(angle: float, target: int, controls: Iterable[Control] = ()) -> Gate:
     return Gate(GateKind.PHASE_SHIFT, (target,), tuple(controls), angle=angle)
-
-
-def swap(a: int, b: int, controls: Iterable[Control] = ()) -> Gate:
-    return Gate(GateKind.SWAP, (a, b), tuple(controls))
 
 
 def mct(control_qubits: Iterable[int], target: int) -> Gate:
@@ -200,12 +195,14 @@ def encode_register(qubits: Sequence[int], value: int, base_index: int = 0) -> i
 #
 # qubits=N
 # register NAME=[i,..]
-# KIND(angle?) targets=[i,..] controls=[+i|-i,..]
+# KIND(angle?) targets=[i] controls=[+i|-i,..]
 
+_HEADER = re.compile(r"^qubits=(?P<count>\d+)$")
+_REGISTER_LINE = re.compile(r"^register (?P<name>[^=]+)=\[(?P<qubits>(\d+(,\d+)*)?)\]$")
 _GATE_LINE = re.compile(
     r"^(?P<kind>[A-Za-z]+)(\((?P<angle>[^)]*)\))?"
-    r" targets=\[(?P<targets>[^\]]*)\]"
-    r" controls=\[(?P<controls>[^\]]*)\]$"
+    r" targets=\[(?P<target>\d+)\]"
+    r" controls=\[(?P<controls>([+-]\d+(,[+-]\d+)*)?)\]$"
 )
 
 
@@ -225,30 +222,30 @@ def dump_circuit(c: Circuit) -> str:
 
 
 def parse_circuit(text: str) -> Circuit:
-    """Parse the dump format back into a Circuit (round-trips dump_circuit)."""
+    """Parse the dump format back into a Circuit (round-trips dump_circuit);
+    any line off the format raises InvariantError."""
     lines = [line for line in text.splitlines() if line.strip()]
-    if not lines or not lines[0].startswith("qubits="):
+    header = _HEADER.match(lines[0]) if lines else None
+    if header is None:
         raise InvariantError("dump must start with a qubits=N header")
-    qubit_count = int(lines[0].split("=", 1)[1])
     registers: dict[str, tuple[int, ...]] = {}
     gates: list[Gate] = []
     kinds = {k.value: k for k in GateKind}
     for line in lines[1:]:
-        if line.startswith("register "):
-            name, _, spec = line[len("register "):].partition("=")
-            body = spec.strip()[1:-1]
-            registers[name] = tuple(int(s) for s in body.split(",") if s)
+        m = _REGISTER_LINE.match(line)
+        if m is not None:
+            registers[m.group("name")] = tuple(int(s) for s in m.group("qubits").split(",") if s)
             continue
         m = _GATE_LINE.match(line)
         if m is None:
-            raise InvariantError(f"unparseable gate line: {line!r}")
+            raise InvariantError(f"unparseable line: {line!r}")
         kind = kinds.get(m.group("kind"))
         if kind is None:
             raise InvariantError(f"unknown gate kind in line: {line!r}")
-        angle = float(m.group("angle")) if m.group("angle") is not None else None
-        targets = tuple(int(s) for s in m.group("targets").split(",") if s)
-        controls = tuple(
-            (int(s[1:]), s[0] == "+") for s in m.group("controls").split(",") if s
-        )
-        gates.append(Gate(kind, targets, controls, angle=angle))
-    return Circuit(qubit_count, tuple(gates), registers)
+        try:
+            angle = None if m.group("angle") is None else float(m.group("angle"))
+        except ValueError:
+            raise InvariantError(f"angle is not a number in line: {line!r}") from None
+        controls = [(int(s[1:]), s[0] == "+") for s in m.group("controls").split(",") if s]
+        gates.append(Gate(kind, (int(m.group("target")),), controls, angle=angle))
+    return Circuit(int(header.group("count")), tuple(gates), registers)

@@ -50,6 +50,11 @@ _PROBLEM_FIELDS = {
 }
 
 
+def _is_a(value, types) -> bool:
+    # JSON true/false arrive as bool, which Python counts as an int
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
 def parse_problem_dict(doc) -> TransportProblem:
     """Validate the problem JSON document and build a TransportProblem."""
     if not isinstance(doc, dict):
@@ -58,7 +63,7 @@ def parse_problem_dict(doc) -> TransportProblem:
     if unknown:
         raise ProblemFormatError(f"unknown problem fields: {sorted(unknown)}")
     for name in ("x_qubits", "max_flights", "boundary"):
-        if not isinstance(doc.get(name), int) or isinstance(doc.get(name), bool):
+        if not _is_a(doc.get(name), int):
             raise ProblemFormatError(f"field {name!r} must be an integer")
     regions_doc = doc.get("regions")
     if not isinstance(regions_doc, list) or len(regions_doc) != 2:
@@ -71,9 +76,9 @@ def parse_problem_dict(doc) -> TransportProblem:
         if unknown:
             raise ProblemFormatError(f"unknown region fields: {sorted(unknown)}")
         pmf = entry.get("distance_pmf")
-        if not isinstance(pmf, list) or not all(isinstance(p, (int, float)) for p in pmf):
+        if not isinstance(pmf, list) or not all(_is_a(p, (int, float)) for p in pmf):
             raise ProblemFormatError("region field 'distance_pmf' must be a list of numbers")
-        if not isinstance(entry.get("p_absorb"), (int, float)):
+        if not _is_a(entry.get("p_absorb"), (int, float)):
             raise ProblemFormatError("region field 'p_absorb' must be a number")
         regions.append(RegionSpec(tuple(pmf), float(entry["p_absorb"])))
     first = doc.get("first_flight_always", True)

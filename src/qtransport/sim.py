@@ -19,7 +19,7 @@ import os
 
 import numpy as np
 
-from .circuit import Circuit, GateKind
+from .circuit import Circuit, Gate, GateKind
 from .errors import CapacityError, InvariantError
 
 DEFAULT_MAX_QUBITS = 26
@@ -92,10 +92,32 @@ def _fixed(view: np.ndarray, axis: dict[int, int], bits) -> np.ndarray:
     return part
 
 
-def _swap(a: np.ndarray, b: np.ndarray) -> None:
-    held = a.copy()
-    np.copyto(a, b)
-    np.copyto(b, held)
+def _apply_gate(amplitudes: np.ndarray, gate: Gate) -> None:
+    """One gate on the views where its controls hold. Its scratch arrays are
+    locals, so they are freed on return and never outlive the gate."""
+    view, axis = _split(amplitudes, gate.qubits)
+    controls = [(q, int(positive)) for q, positive in gate.controls]
+    a0 = _fixed(view, axis, controls + [(gate.targets[0], 0)])
+    a1 = _fixed(view, axis, controls + [(gate.targets[0], 1)])
+    kind = gate.kind
+    if kind is GateKind.PHASE_SHIFT:
+        np.multiply(a1, np.exp(1j * gate.angle), out=a1, order="C")
+    elif kind is GateKind.PAULI_X:
+        held = a0.copy()
+        np.copyto(a0, a1)
+        np.copyto(a1, held)
+    elif kind is GateKind.HADAMARD:
+        held = np.subtract(a0, a1, order="C")
+        np.add(a0, a1, out=a0, order="C")
+        np.multiply(a0, _INV_SQRT2, out=a0, order="C")
+        np.multiply(held, _INV_SQRT2, out=a1, order="C")
+    else:
+        c, s = np.cos(gate.angle / 2.0), np.sin(gate.angle / 2.0)
+        held = np.multiply(a0, s, order="C")
+        np.multiply(a0, c, out=a0, order="C")
+        np.subtract(a0, np.multiply(a1, s, order="C"), out=a0, order="C")
+        np.multiply(a1, c, out=a1, order="C")
+        np.add(a1, held, out=a1, order="C")
 
 
 def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
@@ -112,34 +134,7 @@ def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
             f"circuit has {circuit.qubit_count} qubits, state has {len(amplitudes)} amplitudes"
         )
     for gate in circuit.gates:
-        view, axis = _split(amplitudes, gate.qubits)
-        controls = [(q, int(positive)) for q, positive in gate.controls]
-
-        def part(*target_bits: int) -> np.ndarray:
-            return _fixed(view, axis, controls + list(zip(gate.targets, target_bits)))
-
-        kind = gate.kind
-        if kind is GateKind.SWAP:
-            _swap(part(1, 0), part(0, 1))
-        elif kind is GateKind.PHASE_SHIFT:
-            ones = part(1)
-            np.multiply(ones, np.exp(1j * gate.angle), out=ones, order="C")
-        elif kind is GateKind.PAULI_X:
-            _swap(part(0), part(1))
-        elif kind is GateKind.HADAMARD:
-            a0, a1 = part(0), part(1)
-            held = np.subtract(a0, a1, order="C")
-            np.add(a0, a1, out=a0, order="C")
-            np.multiply(a0, _INV_SQRT2, out=a0, order="C")
-            np.multiply(held, _INV_SQRT2, out=a1, order="C")
-        else:
-            c, s = np.cos(gate.angle / 2.0), np.sin(gate.angle / 2.0)
-            a0, a1 = part(0), part(1)
-            held = np.multiply(a0, s, order="C")
-            np.multiply(a0, c, out=a0, order="C")
-            np.subtract(a0, np.multiply(a1, s, order="C"), out=a0, order="C")
-            np.multiply(a1, c, out=a1, order="C")
-            np.add(a1, held, out=a1, order="C")
+        _apply_gate(amplitudes, gate)
     norm = float(np.linalg.norm(amplitudes))
     if abs(norm - 1.0) >= 1e-9:
         raise InvariantError(f"statevector norm drifted to {norm!r}")

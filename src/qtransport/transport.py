@@ -24,13 +24,12 @@ the position register, so the position marginal is unaffected.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Control, Gate, add_controls, h, inverse, mct, phase_shift, ry, swap
+from .circuit import Circuit, Control, Gate, add_controls, h, inverse, mct, phase_shift, ry, x
 from .errors import InvariantError
 
 PRE_FLIGHT = "pre_flight"
@@ -166,16 +165,15 @@ def build_distribution_loader(pmf, width: int) -> Circuit:
 def _region_flag_gates(x_register, boundary: int, target: int) -> list[Gate]:
     """Flip target iff the x register encodes a value >= boundary (= 2^k).
 
-    OR of the high bits via inclusion-exclusion: one multi-controlled X per
-    nonempty subset of bits k..w-1, since XOR over all subset ANDs of some
-    bits equals their OR.
+    That holds iff exactly one bit from k up is the highest 1, so: one X per
+    such bit, highest first, controlled on it at |1> and every higher bit at
+    |0>. The w-k conditions are disjoint and each gate has a control.
     """
     k = boundary.bit_length() - 1
-    high_desc = list(reversed(x_register[k:]))
     gates = []
-    for size in range(1, len(high_desc) + 1):
-        for combo in itertools.combinations(high_desc, size):
-            gates.append(mct(combo, target))
+    for i in reversed(range(k, len(x_register))):
+        higher_zero = [(q, False) for q in reversed(x_register[i + 1 :])]
+        gates.append(x(target, higher_zero + [(x_register[i], True)]))
     return gates
 
 
@@ -216,20 +214,21 @@ def build_reaction_rotation(regions, anc_r: int, r_qubit: int) -> Circuit:
 # --- in-place Fourier adder --------------------------------------------------
 
 def _qft_gates(qubits) -> list[Gate]:
-    """Quantum Fourier transform on an LSB-first register, swaps included."""
+    """Quantum Fourier transform on an LSB-first register, without the final
+    swaps: Fourier place j of the result sits on qubit w-1-j."""
     w = len(qubits)
     gates = []
     for i in reversed(range(w)):
         gates.append(h(qubits[i]))
         for j in reversed(range(i)):
             gates.append(phase_shift(math.pi / (1 << (i - j)), qubits[i], [(qubits[j], True)]))
-    for i in range(w // 2):
-        gates.append(swap(qubits[i], qubits[w - 1 - i]))
     return gates
 
 
 def _adder_gates(x_register, d_register, control: int | None) -> list[Gate]:
-    """|x>|d> -> |x+d mod 2^w>|d>: QFT on x, phase kicks controlled on d, inverse QFT."""
+    """|x>|d> -> |x+d mod 2^w>|d> (Draper, quant-ph/0008033): QFT on x, phase
+    kicks controlled on d, inverse QFT. The QFT output is bit-reversed, so the
+    kick for Fourier place j goes to x qubit w-1-j and no swaps are needed."""
     w = len(x_register)
     extra: list[Control] = [] if control is None else [(control, True)]
     qft = _qft_gates(x_register)
@@ -237,7 +236,7 @@ def _adder_gates(x_register, d_register, control: int | None) -> list[Gate]:
     for k, dq in enumerate(d_register):
         for j in range(w - k):
             angle = math.pi / (1 << (w - 1 - j - k))
-            gates.append(phase_shift(angle, x_register[j], [(dq, True)] + extra))
+            gates.append(phase_shift(angle, x_register[w - 1 - j], [(dq, True)] + extra))
     gates.extend(inverse(Circuit(max(x_register) + 1, qft)).gates)
     return gates
 

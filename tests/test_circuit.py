@@ -17,7 +17,6 @@ from qtransport.circuit import (
     phase_shift,
     register_value,
     ry,
-    swap,
     x,
 )
 from qtransport.errors import InvariantError
@@ -28,12 +27,12 @@ from conftest import basis_state
 
 def random_gate(rng, n):
     qubits = list(rng.permutation(n))
-    kind = rng.integers(5)
-    n_ctrl = int(rng.integers(0, min(3, n - 2) + 1))
-    ctrls = [(int(q), bool(rng.integers(2))) for q in qubits[2 : 2 + n_ctrl]]
-    t0, t1 = int(qubits[0]), int(qubits[1])
+    kind = rng.integers(4)
+    n_ctrl = int(rng.integers(0, min(3, n - 1) + 1))
+    ctrls = [(int(q), bool(rng.integers(2))) for q in qubits[1 : 1 + n_ctrl]]
+    t = int(qubits[0])
     angle = float(rng.uniform(-np.pi, np.pi))
-    return [x(t0, ctrls), h(t0, ctrls), ry(angle, t0, ctrls), phase_shift(angle, t0, ctrls), swap(t0, t1, ctrls)][kind]
+    return [x(t, ctrls), h(t, ctrls), ry(angle, t, ctrls), phase_shift(angle, t, ctrls)][kind]
 
 
 def random_circuit(rng, n, gates=20):
@@ -41,10 +40,6 @@ def random_circuit(rng, n, gates=20):
 
 
 class TestGateValidation:
-    def test_swap_needs_two_targets(self):
-        with pytest.raises(InvariantError):
-            Gate(GateKind.SWAP, (1,))
-
     def test_single_target_kinds(self):
         with pytest.raises(InvariantError):
             Gate(GateKind.PAULI_X, (0, 1))
@@ -62,8 +57,6 @@ class TestGateValidation:
     def test_distinct_qubits(self):
         with pytest.raises(InvariantError):
             x(0, [(0, True)])
-        with pytest.raises(InvariantError):
-            swap(1, 1)
 
     def test_negative_index(self):
         with pytest.raises(InvariantError):
@@ -129,7 +122,7 @@ class TestInverse:
         assert inverse(inverse(c)) == c
 
     def test_comparator_self_inverse_up_to_order(self):
-        # the x>=4 comparator is CNOT+CNOT+Toffoli: every gate self-inverse
+        # the x>=4 comparator is two controlled X gates: each self-inverse
         comparator = build_region_flag((0, 1, 2, 3), 4, 4)
         assert inverse(comparator).gates == tuple(reversed(comparator.gates))
 
@@ -215,3 +208,20 @@ class TestDumpFormat:
     def test_bad_header(self):
         with pytest.raises(InvariantError):
             parse_circuit("register X=[0]\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            # a control needs its +/- polarity sign
+            pytest.param("qubits=3\nPauliX targets=[0] controls=[12]\n", id="unsigned-control"),
+            pytest.param("qubits=three\n", id="header"),
+            pytest.param("qubits=3\nRotY(half) targets=[1] controls=[]\n", id="angle"),
+            pytest.param("qubits=3\nPauliX targets=[a] controls=[]\n", id="target"),
+            pytest.param("qubits=3\nregister X=[0,b]\n", id="register-index"),
+            # the two-target Swap kind is not part of the gate set
+            pytest.param("qubits=3\nSwap targets=[0,1] controls=[]\n", id="swap"),
+        ],
+    )
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(InvariantError):
+            parse_circuit(text)

@@ -34,6 +34,18 @@ NO_MOTION_DOC = {
     ],
 }
 
+# Odd x width with three bits above the boundary (5 - 2): the comparator's
+# and the Fourier adder's widest shapes in a problem small enough to print.
+ODD_WIDTH_DOC = {
+    "x_qubits": 5,
+    "max_flights": 4,
+    "boundary": 4,
+    "regions": [
+        {"distance_pmf": [0.25, 0.35, 0.3, 0.1], "p_absorb": 0.2},
+        {"distance_pmf": [0.1, 0.5, 0.3, 0.1], "p_absorb": 0.45},
+    ],
+}
+
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -103,6 +115,21 @@ class TestProblemParsing:
         with pytest.raises(ProblemFormatError):
             parse_problem_dict(dict(TABLE_A1_DOC, x_qubits=True))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("distance_pmf", [True, False]), ("distance_pmf", [0.5, 0.5, True]), ("p_absorb", False)],
+    )
+    def test_booleans_rejected_in_numeric_region_fields(self, tmp_path, field, value):
+        from qtransport.errors import ProblemFormatError
+
+        doc = json.loads(json.dumps(TABLE_A1_DOC))
+        doc["regions"][0][field] = value
+        with pytest.raises(ProblemFormatError):
+            parse_problem_dict(doc)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        assert main(["exact", "-p", str(path)]) == 2
+
 
 class TestExitCodes:
     def test_malformed_json_is_2_and_no_output(self, tmp_path):
@@ -171,6 +198,70 @@ class TestExact:
         out = tmp_path / "dist.csv"
         assert run_cli("exact", "-p", table_a1_path, "-o", str(out)).returncode == 0
         assert len(read_csv(out.read_text())) == 16
+
+    # Recorded before the comparator and the Fourier adder were rebuilt from
+    # fewer gates; the rebuilt circuit must print the same bytes.
+    def test_golden_table_a1(self, table_a1_path, capsys):
+        assert main(["exact", "-p", table_a1_path]) == 0
+        assert capsys.readouterr().out == (
+            "position,probability\n"
+            "0,0.10706249999999955\n"
+            "1,0.20574999999999907\n"
+            "2,0.2138749999999991\n"
+            "3,0.1984374999999991\n"
+            "4,0.15209999999999935\n"
+            "5,0.08129999999999966\n"
+            "6,0.03517499999999985\n"
+            "7,0.0053999999999999795\n"
+            "8,0.0008999999999999966\n"
+            "9,5.3474508788186844e-33\n"
+            "10,4.954323726444059e-33\n"
+            "11,4.512363269092634e-33\n"
+            "12,1.7608949180827683e-33\n"
+            "13,3.5437966044646527e-33\n"
+            "14,1.700010178451334e-33\n"
+            "15,1.6774866654078108e-33\n"
+        )
+
+    def test_golden_odd_width(self, tmp_path, capsys):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(ODD_WIDTH_DOC))
+        assert main(["exact", "-p", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            "position,probability\n"
+            "0,0.06399999999999958\n"
+            "1,0.11759999999999936\n"
+            "2,0.15567999999999915\n"
+            "3,0.15511999999999918\n"
+            "4,0.18802319999999845\n"
+            "5,0.1513875999999987\n"
+            "6,0.0909581999999992\n"
+            "7,0.04724279999999958\n"
+            "8,0.020985799999999805\n"
+            "9,0.006969599999999936\n"
+            "10,0.0017181999999999835\n"
+            "11,0.0002903999999999972\n"
+            "12,2.419999999999976e-05\n"
+            "13,4.164213450407371e-33\n"
+            "14,2.5244417091365087e-33\n"
+            "15,2.190374172614373e-33\n"
+            "16,1.8814516064842024e-33\n"
+            "17,9.796397777888656e-33\n"
+            "18,4.6153764007146935e-33\n"
+            "19,7.457685813480539e-33\n"
+            "20,6.24610264913169e-33\n"
+            "21,1.2811769829186615e-32\n"
+            "22,6.500794578308937e-33\n"
+            "23,5.142147881597304e-33\n"
+            "24,4.591075855808445e-33\n"
+            "25,4.1335147101165915e-33\n"
+            "26,3.4985874413085274e-33\n"
+            "27,3.300551549695894e-33\n"
+            "28,3.5197188449929275e-33\n"
+            "29,4.568944487246959e-33\n"
+            "30,3.048807659261676e-33\n"
+            "31,2.4622301659772676e-33\n"
+        )
 
 
 class TestMc:
@@ -243,6 +334,31 @@ class TestQae:
         assert abs(doc["p_hat"] - doc["exact_p"]) < 0.05
         assert doc["total_oracle_calls"] == sum(100 * (2 * m + 1) for m in (1, 2, 4, 8, 16, 32))
         assert doc["predicate"] == "region2"
+
+    # Recorded before the comparator was rebuilt from fewer gates. It flags
+    # region 2 in every flight and is the geq flag oracle, so a changed
+    # exact_p or one flipped draw shows here.
+    @pytest.mark.parametrize(
+        "predicate, p_hat, theta_hat, hits, exact_p",
+        [
+            ("geq:8", 0.0009121326243193425, 0.030206126662520292, (1, 1, 3, 15, 77, 85, 47), 0.0008999999999999966),
+            ("eq:5", 0.08108407139636743, 0.2887483854866221, (57, 97, 32, 96, 2, 0, 21), 0.08129999999999965),
+        ],
+    )
+    def test_golden_report(self, table_a1_path, capsys, predicate, p_hat, theta_hat, hits, exact_p):
+        assert main(["qae", "-p", table_a1_path, "--predicate", predicate, "--seed", "0"]) == 0
+        report = {
+            "p_hat": p_hat,
+            "theta_hat": theta_hat,
+            "total_oracle_calls": 26100,
+            "schedule": [1, 2, 4, 8, 16, 32, 64],
+            "shots_per_power": 100,
+            "hits": list(hits),
+            "predicate": predicate,
+            "exact_p": exact_p,
+            "seed": 0,
+        }
+        assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
 
     def test_certain_outcome(self, no_motion_path):
         result = run_cli("qae", "-p", no_motion_path, "--predicate", "eq:0", "--schedule", "0,1")

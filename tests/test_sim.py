@@ -32,12 +32,6 @@ def dense_unitary(circuit: Circuit) -> np.ndarray:
             if any(((b >> q) & 1) != int(pol) for q, pol in gate.controls):
                 u[b, b] = 1.0
                 continue
-            if gate.kind.value == "Swap":
-                t1, t2 = gate.targets
-                b1, b2 = (b >> t1) & 1, (b >> t2) & 1
-                target = (b & ~(1 << t1) & ~(1 << t2)) | (b2 << t1) | (b1 << t2)
-                u[target, b] = 1.0
-                continue
             t = gate.targets[0]
             bit = (b >> t) & 1
             if gate.kind.value == "PauliX":

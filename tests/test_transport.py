@@ -1,11 +1,12 @@
 import dataclasses
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from qtransport import RegionSpec, TransportProblem, sim
-from qtransport.circuit import GateKind, encode_register
+from qtransport.circuit import Circuit, GateKind, encode_register
 from qtransport.classical_mc import exact_distribution
 from qtransport.errors import InvariantError
 from qtransport.transport import (
@@ -121,18 +122,25 @@ class TestDistributionLoader:
 
 class TestRegionFlag:
     def test_structure_matches_two_high_bit_gadget(self):
+        # one X per high bit, fired when that bit is the highest 1
         c = build_region_flag((0, 1, 2, 3), 4, 4)
-        assert [g.controls for g in c.gates] == [((3, True),), ((2, True),), ((3, True), (2, True))]
+        assert [g.controls for g in c.gates] == [((3, True),), ((3, False), (2, True))]
         assert all(g.kind is GateKind.PAULI_X and g.targets == (4,) for g in c.gates)
 
-    @pytest.mark.parametrize("boundary", [1, 2, 4, 8])
+    # each boundary on every x width from 1 to 6 that holds it
+    @pytest.mark.parametrize("boundary", [1, 2, 4, 8, 16, 32])
     def test_exhaustive(self, boundary):
-        c = build_region_flag((0, 1, 2, 3), boundary, 4)
-        for xv in range(16):
-            out = basis_state(5, encode_register((0, 1, 2, 3), xv))
-            sim.apply_inplace(out, c)
-            want = encode_register((0, 1, 2, 3), xv, encode_register((4,), int(xv >= boundary)))
-            assert out[want] == 1.0
+        k = boundary.bit_length() - 1
+        for width in range(k + 1, 7):
+            x_register = tuple(range(width))
+            c = build_region_flag(x_register, boundary, width)
+            assert c.gate_count == width - k, f"width {width}"
+            assert all(g.controls for g in c.gates), f"width {width}"
+            for xv in range(1 << width):
+                out = basis_state(width + 1, encode_register(x_register, xv))
+                sim.apply_inplace(out, c)
+                flag = encode_register((width,), int(xv >= boundary))
+                assert out[encode_register(x_register, xv, flag)] == 1.0, f"width {width}, x {xv}"
 
     def test_bad_boundaries(self):
         with pytest.raises(InvariantError):
@@ -180,18 +188,27 @@ class TestControlledAdder:
         assert abs(out[idx] - 1.0) < 1e-10
 
     def test_exhaustive_modular_addition(self):
-        c = build_controlled_adder((0, 1, 2, 3), (4, 5), 6)
-        for ctrl in (0, 1):
-            for xv in range(16):
-                for dv in range(4):
-                    idx = encode_register((0, 1, 2, 3), xv)
-                    idx = encode_register((4, 5), dv, idx)
-                    idx = encode_register((6,), ctrl, idx)
-                    out = basis_state(7, idx)
-                    sim.apply_inplace(out, c)
-                    target_x = (xv + dv) % 16 if ctrl else xv
-                    want = encode_register((0, 1, 2, 3), target_x, idx & ~0b1111)
-                    assert abs(out[want] - 1.0) < 1e-10
+        # x widths 1-5, ungated and gated; odd widths have a middle x qubit
+        # that the Fourier transform leaves in place
+        for width in range(1, 6):
+            x_register = tuple(range(width))
+            d_register = tuple(range(width, width + min(width, 2)))
+            control = width + len(d_register)
+            for gated in (False, True):
+                c = build_controlled_adder(x_register, d_register, control if gated else None)
+                n = control + 1
+                for ctrl, xv, dv in itertools.product(
+                    (0, 1), range(1 << width), range(1 << len(d_register))
+                ):
+                    idx = encode_register(x_register, xv)
+                    idx = encode_register(d_register, dv, idx)
+                    idx = encode_register((control,), ctrl, idx)
+                    out = basis_state(n, idx)
+                    sim.apply_inplace(out, Circuit(n, c.gates))
+                    moved = ctrl or not gated
+                    target_x = (xv + dv) % (1 << width) if moved else xv
+                    want = encode_register(x_register, target_x, idx)
+                    assert abs(out[want] - 1.0) < 1e-10, f"width {width}, gated {gated}"
 
     def test_uncontrolled_form(self):
         c = build_controlled_adder((0, 1, 2), (3,))
