@@ -147,9 +147,12 @@ def _parse_schedule(text: str) -> tuple[int, ...]:
         schedule = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise PredicateError(f"bad schedule {text!r}; expected exp:K or m0,m1,...") from None
-    if any(m < 0 for m in schedule):
-        raise PredicateError(f"bad schedule {text!r}; Grover powers must be nonnegative")
-    return schedule
+    return qae.check_powers(schedule)
+
+
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise InvariantError(f"seed must be >= 0, got {seed}")
 
 
 def cmd_exact(args) -> int:
@@ -167,6 +170,7 @@ def cmd_mc(args) -> int:
     problem = load_problem(args.problem)
     if args.shots < 1:
         raise InvariantError("shots must be >= 1")
+    _check_seed(args.seed)
     if args.mode == "flowchart":
         counts = classical_mc.run_tally(problem, args.shots, args.seed).counts
     else:
@@ -184,9 +188,9 @@ def cmd_qae(args) -> int:
     pred = qae.parse_predicate(args.predicate)
     schedule = _parse_schedule(args.schedule)
     qae.check_shots_per_power(args.shots_per_power)
-    tc = build_transport_circuit(problem)
-    a = qae.build_a_operator(tc, pred)
-    estimate = qae.mlqae_estimate(a, tc.flag_qubit, schedule, args.shots_per_power, args.seed)
+    _check_seed(args.seed)
+    a = qae.build_a_operator(build_transport_circuit(problem), pred)
+    estimate = qae.mlqae_estimate(a, schedule, args.shots_per_power, args.seed)
     report = estimate.to_dict()
     report["predicate"] = str(pred)
     report["exact_p"] = estimate.exact_p

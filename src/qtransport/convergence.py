@@ -71,9 +71,8 @@ def quantum_curve(
     if not schedule or n_seeds < 1:
         raise InvariantError("need a non-empty schedule and at least one seed")
     qae.check_shots_per_power(shots_per_power)
-    tc = build_transport_circuit(problem)
-    a = qae.build_a_operator(tc, pred)
-    probs = qae.amplified_probabilities(qae.exact_amplitude(a, tc.flag_qubit), schedule)
+    a = qae.build_a_operator(build_transport_circuit(problem), pred)
+    probs = qae.amplified_probabilities(qae.exact_amplitude(a), schedule)
     p_true = exact_predicate_probability(problem, pred)
     shots = [shots_per_power] * len(schedule)
     errors = np.zeros((n_seeds, len(schedule)))

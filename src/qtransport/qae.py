@@ -1,14 +1,15 @@
 """Amplitude estimation over the transport circuit.
 
 The state-preparation operator A is the transport circuit followed by a
-predicate oracle that flips a dedicated flag qubit when the position
-register satisfies the predicate, so the flag's |1> probability is exactly
-the probability being estimated. The Grover operator Q = A S0 A^-1 S_chi
-rotates that amplitude within the plane spanned by the flagged and unflagged
-parts of A|0>, so measuring the flag after Q^m A|0> sees probability
-sin^2((2m+1) theta) with theta = arcsin sqrt(p). Estimation reads p from one
-exact pass of A and takes the Grover-power probabilities from that closed
-form; `build_grover_operator` is the gate-level Q the tests check it against.
+predicate oracle that flips a flag qubit (A's own, one past the transport
+qubits and registered as "flag") when the position register satisfies the
+predicate, so the flag's |1> probability is exactly the probability being
+estimated. The Grover operator Q = A S0 A^-1 S_chi rotates that amplitude
+within the plane spanned by the flagged and unflagged parts of A|0>, so
+measuring the flag after Q^m A|0> sees probability sin^2((2m+1) theta)
+with theta = arcsin sqrt(p). Estimation reads p from one exact pass of A
+and takes the Grover-power probabilities from that closed form;
+`build_grover_operator` is the gate-level Q the tests check it against.
 
 Estimation is maximum-likelihood over a schedule of Grover powers: shot
 counts at each power are fused into one likelihood over theta, maximized on
@@ -23,11 +24,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import Circuit, compose, inverse, phase_shift, x
-from .errors import PredicateError
+from .errors import InvariantError, PredicateError
 from .sim import apply_inplace, flag_probability, zero_state
 from .transport import TransportCircuit, TransportProblem, _region_flag_gates
 
 GEQ, EQ, REGION2 = "geq", "eq", "region2"
+MAX_POWER = (1 << 62) - 1  # largest Grover power m whose 2m+1 fits in an int64
 
 
 @dataclass(frozen=True)
@@ -97,9 +99,10 @@ def _check_eq(value, width: int) -> None:
 
 
 def build_flag_oracle(tc: TransportCircuit, pred: Predicate) -> Circuit:
-    """Circuit flipping the flag qubit iff the X register satisfies the predicate."""
+    """Circuit flipping the flag iff the X register satisfies the predicate;
+    the flag is a new qubit past the transport circuit, registered as "flag"."""
     pred = _resolve_threshold(pred, tc.problem)
-    x_register, flag = tc.x_register, tc.flag_qubit
+    x_register, flag = tc.x_register, tc.circuit.qubit_count
     if pred.kind == GEQ:
         _check_geq(pred.value, len(x_register))
         gates = _region_flag_gates(x_register, pred.value, flag)
@@ -107,22 +110,29 @@ def build_flag_oracle(tc: TransportCircuit, pred: Predicate) -> Circuit:
         _check_eq(pred.value, len(x_register))
         controls = [(q, bool((pred.value >> i) & 1)) for i, q in enumerate(x_register)]
         gates = [x(flag, controls)]
-    return Circuit(tc.circuit.qubit_count, tuple(gates), tc.circuit.registers)
+    return Circuit(flag + 1, tuple(gates), {**tc.registers, "flag": (flag,)})
 
 
 def build_a_operator(tc: TransportCircuit, pred: Predicate) -> Circuit:
-    """A = transport circuit then predicate oracle."""
-    return compose(tc.circuit, build_flag_oracle(tc, pred))
+    """A = transport circuit then predicate oracle, on the oracle's qubits."""
+    oracle = build_flag_oracle(tc, pred)
+    return Circuit(oracle.qubit_count, tc.circuit.gates + oracle.gates, oracle.registers)
 
 
-def build_grover_operator(a: Circuit, flag: int) -> Circuit:
+def _flag(a: Circuit) -> int:
+    if "flag" not in a.registers:
+        raise InvariantError("A has no flag register; build it with build_a_operator")
+    return a.registers["flag"][0]
+
+
+def build_grover_operator(a: Circuit) -> Circuit:
     """Q = A S0 A^-1 S_chi as a gate sequence (S_chi applied first).
 
-    S_chi is a Z on the flag; S0 flips the sign of the all-zeros state via
+    S_chi is a Z on A's flag; S0 flips the sign of the all-zeros state via
     an X-conjugated phase flip negatively controlled on every other qubit.
     """
     n = a.qubit_count
-    s_chi = Circuit(n, (phase_shift(math.pi, flag),))
+    s_chi = Circuit(n, (phase_shift(math.pi, _flag(a)),))
     s0 = Circuit(
         n,
         (
@@ -134,11 +144,22 @@ def build_grover_operator(a: Circuit, flag: int) -> Circuit:
     return compose(s_chi, inverse(a), s0, a)
 
 
-def exact_amplitude(a: Circuit, flag: int) -> float:
+def exact_amplitude(a: Circuit) -> float:
     """Flag |1> probability of A|0>, bypassing estimation."""
+    flag = _flag(a)
     amplitudes = zero_state(a.qubit_count)
     apply_inplace(amplitudes, a)
     return flag_probability(amplitudes, flag)
+
+
+def check_powers(powers) -> tuple[int, ...]:
+    """The Grover powers as ints; PredicateError unless every m is
+    nonnegative and at most MAX_POWER, so that 2m+1 fits in an int64."""
+    powers = tuple(int(m) for m in powers)
+    for m in powers:
+        if not 0 <= m <= MAX_POWER:
+            raise PredicateError(f"Grover power {m} must be nonnegative and at most 2^62 - 1")
+    return powers
 
 
 def amplified_probabilities(p: float, powers) -> np.ndarray:
@@ -148,9 +169,7 @@ def amplified_probabilities(p: float, powers) -> np.ndarray:
     p is clamped to [0, 1] first, so rounding just outside the interval
     still gives finite probabilities.
     """
-    powers = np.asarray(list(powers), dtype=np.int64)
-    if (powers < 0).any():
-        raise PredicateError("Grover powers must be nonnegative")
+    powers = np.asarray(check_powers(powers), dtype=np.int64)
     theta = math.asin(math.sqrt(min(max(p, 0.0), 1.0)))
     return np.sin((2 * powers + 1) * theta) ** 2
 
@@ -240,13 +259,7 @@ def check_shots_per_power(shots_per_power: int) -> None:
         raise PredicateError("shots_per_power must be >= 1")
 
 
-def mlqae_estimate(
-    a: Circuit,
-    flag: int,
-    schedule,
-    shots_per_power: int,
-    seed: int,
-) -> QaeEstimate:
+def mlqae_estimate(a: Circuit, schedule, shots_per_power: int, seed: int) -> QaeEstimate:
     """Maximum-likelihood amplitude estimation from sampled flag counts.
 
     One exact pass of A gives the flag probability p (kept as `exact_p`).
@@ -259,7 +272,7 @@ def mlqae_estimate(
     if not schedule:
         raise PredicateError("schedule must be non-empty")
     check_shots_per_power(shots_per_power)
-    exact_p = exact_amplitude(a, flag)
+    exact_p = exact_amplitude(a)
     probs = amplified_probabilities(exact_p, schedule)
     rng = np.random.default_rng(seed)
     hits = tuple(int(rng.binomial(shots_per_power, p)) for p in probs)
@@ -277,7 +290,8 @@ def mlqae_estimate(
 
 
 def exponential_schedule(max_exponent: int) -> tuple[int, ...]:
-    """Powers 2^0 .. 2^max_exponent."""
-    if max_exponent < 0:
-        raise PredicateError("schedule exponent must be >= 0")
+    """Powers 2^0 .. 2^max_exponent; the exponent is at most 61, since
+    2^62 is past MAX_POWER."""
+    if not 0 <= max_exponent <= 61:
+        raise PredicateError(f"schedule exponent must be in [0, 61], got {max_exponent}")
     return tuple(1 << k for k in range(max_exponent + 1))

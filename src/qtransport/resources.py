@@ -64,9 +64,8 @@ def practical_estimate(n: int) -> ResourceEstimate:
 
 
 def circuit_budget(problem: TransportProblem) -> dict[str, int]:
-    """Exact per-register qubit widths of the built circuit, flag included."""
-    tc = build_transport_circuit(problem)
-    budget = {name: len(qubits) for name, qubits in tc.registers.items()}
-    budget["total_without_flag"] = tc.circuit.qubit_count - 1
-    budget["total_with_flag"] = tc.circuit.qubit_count
-    return budget
+    """Exact per-register qubit widths of the transport circuit, then A's flag."""
+    registers = build_transport_circuit(problem).registers
+    budget = {name: len(qubits) for name, qubits in registers.items()} | {"flag": 1}
+    total = sum(budget.values())
+    return budget | {"total_without_flag": total - budget["flag"], "total_with_flag": total}

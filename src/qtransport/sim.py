@@ -43,13 +43,17 @@ def engine_max_qubits() -> int:
 
 
 def zero_state(n: int) -> np.ndarray:
-    """|0...0> as 2^n complex128 amplitudes; rejects n outside [1, engine ceiling]."""
+    """|0...0> as 2^n complex128 amplitudes; rejects n outside [1, engine
+    ceiling], and raises CapacityError if the allocation is refused."""
     if n < 1:
         raise InvariantError("need at least one qubit")
     ceiling = engine_max_qubits()
     if n > ceiling:
         raise CapacityError(f"{n} qubits exceeds the configured ceiling of {ceiling}")
-    amplitudes = np.zeros(1 << n, dtype=np.complex128)
+    try:
+        amplitudes = np.zeros(1 << n, dtype=np.complex128)
+    except MemoryError:
+        raise CapacityError(f"cannot allocate {16 << n} bytes for a {n}-qubit state") from None
     amplitudes[0] = 1.0
     return amplitudes
 

@@ -21,6 +21,9 @@ flag and mis-gate the adder, and both ancillae must end in |0>.
 When a particle is absorbed, later blocks still rotate D/R registers using
 the frozen position's region. That garbage stays entangled but cannot move
 the position register, so the position marginal is unaffected.
+
+The circuit has no amplitude-estimation flag: `qae` adds one when it builds
+the A operator on top of it.
 """
 from __future__ import annotations
 
@@ -281,10 +284,6 @@ class TransportCircuit:
     def anc_p_qubit(self) -> int:
         return self.registers["AncP"][0]
 
-    @property
-    def flag_qubit(self) -> int:
-        return self.registers["flag"][0]
-
     def d_register(self, flight: int) -> tuple[int, ...]:
         return self.registers[f"D{flight}"]
 
@@ -296,9 +295,7 @@ def build_transport_circuit(problem: TransportProblem) -> TransportCircuit:
     """Assemble the full flight-by-flight circuit for a problem.
 
     Register layout (LSB-first within each register): X, then Anc.R, then
-    per flight D_m (and R_m when the flight is gated), then Anc.P, then one
-    flag qubit reserved for amplitude-estimation predicates. The flag is
-    never touched here.
+    per flight D_m (and R_m when the flight is gated), then Anc.P.
     """
     w, n, dw = problem.x_qubits, problem.max_flights, problem.d_width
     x_register = tuple(range(w))
@@ -315,11 +312,8 @@ def build_transport_circuit(problem: TransportProblem) -> TransportCircuit:
             r_qubits[m] = cursor
             registers[f"R{m}"] = (cursor,)
             cursor += 1
-    anc_p = cursor
-    flag = cursor + 1
+    anc_p, qubit_count = cursor, cursor + 1
     registers["AncP"] = (anc_p,)
-    registers["flag"] = (flag,)
-    qubit_count = cursor + 2
 
     gates: list[Gate] = []
     for m in range(1, n + 1):

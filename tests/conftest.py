@@ -38,7 +38,8 @@ def random_pmf(rng: np.random.Generator, length: int, allow_zeros: bool = True) 
 
 
 def random_problem(rng: np.random.Generator, max_total_qubits: int = 16) -> TransportProblem:
-    """Random valid problem whose full circuit fits in max_total_qubits.
+    """Random valid problem whose A operator (the transport circuit plus
+    amplitude estimation's flag) fits in max_total_qubits.
 
     d_max is drawn from 1..3 and random_pmf never puts all the mass at
     distance 0, so every problem moves; d_max = 0 has its own no-motion
@@ -71,11 +72,12 @@ def random_problem(rng: np.random.Generator, max_total_qubits: int = 16) -> Tran
         )
 
 
-def simulated_grover_probabilities(a, flag: int, powers) -> np.ndarray:
+def simulated_grover_probabilities(a, powers) -> np.ndarray:
     """Flag |1> probability after Q^m A|0> for each power m, by applying the
     gate-level Grover operator m times: the reference for the closed form."""
+    q = build_grover_operator(a)  # raises InvariantError when A has no flag
+    flag = a.registers["flag"][0]
     powers = list(powers)
-    q = build_grover_operator(a, flag)
     state = zero_state(a.qubit_count)
     apply_inplace(state, a)
     current = 0

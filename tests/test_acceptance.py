@@ -217,9 +217,9 @@ def test_c6_quantum_scaling(table_a1_module, classical_slope):
 def test_c7_grover_identity(table_a1):
     tc = build_transport_circuit(table_a1)
     a = build_a_operator(tc, Predicate.region2())
-    p = exact_amplitude(a, tc.flag_qubit)
+    p = exact_amplitude(a)
     theta = math.asin(math.sqrt(p))
-    probs = simulated_grover_probabilities(a, tc.flag_qubit, range(9))
+    probs = simulated_grover_probabilities(a, range(9))
     want = np.sin((2 * np.arange(9) + 1) * theta) ** 2
     err = np.abs(probs - want).max()
     finish("C7", err < 1e-9, f"max |P(flag) - sin^2((2m+1)theta)| = {err:.2e} for m=0..8")

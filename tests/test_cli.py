@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qtransport import cli, convergence
+from qtransport import classical_mc, cli, convergence
 from qtransport.circuit import parse_circuit
 from qtransport.classical_mc import exact_distribution
 from qtransport.cli import main, parse_problem_dict, problem_to_dict
@@ -296,6 +296,18 @@ class TestMc:
     def test_zero_shots_rejected(self, table_a1_path):
         assert run_cli("mc", "-p", table_a1_path, "--shots", "0").returncode == 3
 
+    @pytest.mark.parametrize("mode", ["flowchart", "circuit"])
+    def test_negative_seed_rejected_before_any_work(
+        self, table_a1_path, monkeypatch, capsys, mode
+    ):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the seed was checked")
+
+        monkeypatch.setattr(classical_mc, "run_tally", fail)
+        monkeypatch.setattr(cli, "transport_distribution", fail)
+        assert main(["mc", "-p", table_a1_path, "--mode", mode, "--seed", "-1"]) == 3
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     def test_golden_flowchart_output(self, table_a1_path, capsys):
         # Recorded from the scalar history loop that `run_history` used to
         # be; the batch sampler reads the stream in the same order.
@@ -379,6 +391,30 @@ class TestQae:
         assert result.returncode == 5
         assert "nonnegative" in result.stderr
 
+    @pytest.mark.parametrize("schedule", ["exp:62", "exp:63", "4611686018427387904", "0,-1"])
+    def test_power_past_int64_is_predicate_error(self, table_a1_path, monkeypatch, schedule):
+        # 2^62 is the first power whose 2m+1 does not fit in an int64
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the schedule was checked")
+
+        monkeypatch.setattr(cli, "build_transport_circuit", fail)
+        args = ["qae", "-p", table_a1_path, "--predicate", "region2", "--schedule", schedule]
+        assert main(args) == 5
+
+    def test_largest_power_runs(self, table_a1_path, capsys):
+        args = ["qae", "-p", table_a1_path, "--predicate", "region2", "--schedule", "exp:61"]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["schedule"][-1] == 1 << 61
+
+    def test_negative_seed_rejected_before_any_work(self, table_a1_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("ran before the seed was checked")
+
+        monkeypatch.setattr(cli, "build_transport_circuit", fail)
+        args = ["qae", "-p", table_a1_path, "--predicate", "region2", "--seed", "-1"]
+        assert main(args) == 3
+        assert "seed must be >= 0" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["qae", "convergence"])
     def test_negative_power_rejected_before_any_work(self, table_a1_path, monkeypatch, command):
         def fail(*args, **kwargs):
@@ -458,7 +494,7 @@ class TestConvergence:
 
 
     def test_too_wide_rejected_before_any_tally(self, tmp_path, monkeypatch, capsys):
-        # 32 flights make a 106-qubit circuit, past the dense engine's ceiling
+        # 32 flights make a 106-qubit A operator, past the dense engine's ceiling
         def fail(*args, **kwargs):
             raise AssertionError("tallied before the circuit width was checked")
 
@@ -475,7 +511,7 @@ class TestDumpCircuit:
         result = run_cli("dump-circuit", "-p", table_a1_path)
         assert result.returncode == 0
         text = result.stdout
-        assert text.splitlines()[0] == "qubits=15"
+        assert text.splitlines()[0] == "qubits=14"
         circuit = parse_circuit(text)
         assert circuit.registers["X"] == (0, 1, 2, 3)
         anc_p = circuit.registers["AncP"][0]
@@ -489,4 +525,4 @@ class TestDumpCircuit:
     def test_in_process_round_trip(self, table_a1_path, capsys):
         assert main(["dump-circuit", "-p", table_a1_path]) == 0
         text = capsys.readouterr().out
-        assert parse_circuit(text).qubit_count == 15
+        assert parse_circuit(text).qubit_count == 14

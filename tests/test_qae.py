@@ -6,11 +6,13 @@ import pytest
 from qtransport import RegionSpec, TransportProblem, sim
 from qtransport.classical_mc import exact_distribution
 from qtransport.convergence import quantum_curve
-from qtransport.errors import PredicateError
+from qtransport.errors import InvariantError, PredicateError
 from qtransport.qae import (
+    MAX_POWER,
     Predicate,
     _log_likelihood,
     amplified_probabilities,
+    check_powers,
     build_a_operator,
     build_flag_oracle,
     build_grover_operator,
@@ -68,14 +70,15 @@ class TestFlagOracle:
     def test_eq_zero_flags_origin(self, table_a1):
         tc = build_transport_circuit(table_a1)
         oracle = build_flag_oracle(tc, Predicate.eq(0))
+        assert oracle.qubit_count == 15 and oracle.registers["flag"] == (14,)
         state = basis_state(15, 0)
         sim.apply_inplace(state, oracle)
-        assert sim.flag_probability(state, tc.flag_qubit) == 1.0
+        assert sim.flag_probability(state, 14) == 1.0
 
     def test_geq_matches_region_flag_gadget(self, table_a1):
         tc = build_transport_circuit(table_a1)
         oracle = build_flag_oracle(tc, Predicate.geq(4))
-        gadget = build_region_flag((0, 1, 2, 3), 4, tc.flag_qubit)
+        gadget = build_region_flag((0, 1, 2, 3), 4, oracle.registers["flag"][0])
         for xv in range(16):
             a = basis_state(15, xv)
             sim.apply_inplace(a, oracle)
@@ -88,50 +91,71 @@ class TestFlagOracle:
         dist = exact_distribution(table_a1)
         for pred in (Predicate.region2(), Predicate.geq(8), Predicate.eq(0), Predicate.eq(5)):
             a = build_a_operator(tc, pred)
-            p = exact_amplitude(a, tc.flag_qubit)
+            p = exact_amplitude(a)
             want = dist[predicate_mask(pred, table_a1)].sum()
             assert abs(p - want) < 1e-9
 
     def test_unreachable_value_has_zero_amplitude(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.eq(15))  # max reachable is 9
-        assert exact_amplitude(a, tc.flag_qubit) < 1e-15
+        assert exact_amplitude(a) < 1e-15
 
     def test_no_motion_origin_is_certain(self):
         problem = no_motion_problem()
         tc = build_transport_circuit(problem)
         a = build_a_operator(tc, Predicate.eq(0))
-        assert abs(exact_amplitude(a, tc.flag_qubit) - 1.0) < 1e-12
+        assert abs(exact_amplitude(a) - 1.0) < 1e-12
+
+
+class TestFlagLocation:
+    def test_a_adds_the_flag(self, table_a1):
+        tc = build_transport_circuit(table_a1)
+        oracle = build_flag_oracle(tc, Predicate.region2())
+        a = build_a_operator(tc, Predicate.region2())
+        assert tc.circuit.qubit_count == 14 and "flag" not in tc.registers
+        assert a.qubit_count == 15 and a.registers == {**tc.registers, "flag": (14,)}
+        assert a.gates == tc.circuit.gates + oracle.gates
+
+    def test_circuit_without_flag_rejected(self, table_a1):
+        transport = build_transport_circuit(table_a1).circuit
+        with pytest.raises(InvariantError):
+            exact_amplitude(transport)
+        with pytest.raises(InvariantError):
+            build_grover_operator(transport)
+        with pytest.raises(InvariantError):
+            mlqae_estimate(transport, [0, 1], 10, seed=0)
+        with pytest.raises(InvariantError):
+            simulated_grover_probabilities(transport, [0])
 
 
 class TestGroverOperator:
     def test_power_zero_is_plain_amplitude(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
-        p = exact_amplitude(a, tc.flag_qubit)
-        probs = simulated_grover_probabilities(a, tc.flag_qubit, [0])
+        p = exact_amplitude(a)
+        probs = simulated_grover_probabilities(a, [0])
         assert abs(probs[0] - p) < 1e-12
 
     def test_rotation_identity(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
-        p = exact_amplitude(a, tc.flag_qubit)
+        p = exact_amplitude(a)
         theta = math.asin(math.sqrt(p))
         powers = list(range(9))
-        probs = simulated_grover_probabilities(a, tc.flag_qubit, powers)
+        probs = simulated_grover_probabilities(a, powers)
         want = np.sin((2 * np.arange(9) + 1) * theta) ** 2
         np.testing.assert_allclose(probs, want, atol=1e-9)
 
     def test_zero_amplitude_is_fixed_point(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.eq(15))
-        probs = simulated_grover_probabilities(a, tc.flag_qubit, [0, 1, 2, 4])
+        probs = simulated_grover_probabilities(a, [0, 1, 2, 4])
         assert probs.max() < 1e-12
 
     def test_structure(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
-        q = build_grover_operator(a, tc.flag_qubit)
+        q = build_grover_operator(a)
         assert q.gate_count == 2 * a.gate_count + 4
         assert q.registers == a.registers
 
@@ -140,8 +164,8 @@ def assert_closed_form_matches_gate_level(problem, text):
     tc = build_transport_circuit(problem)
     a = build_a_operator(tc, parse_predicate(text))
     powers = range(9)
-    want = simulated_grover_probabilities(a, tc.flag_qubit, powers)
-    got = amplified_probabilities(exact_amplitude(a, tc.flag_qubit), powers)
+    want = simulated_grover_probabilities(a, powers)
+    got = amplified_probabilities(exact_amplitude(a), powers)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-9)
 
 
@@ -164,13 +188,20 @@ class TestAmplifiedProbabilities:
         assert np.isfinite(probs).all()
         np.testing.assert_allclose(probs, want, rtol=0, atol=1e-12)
 
+    def test_power_past_int64_rejected(self):
+        assert MAX_POWER == (1 << 62) - 1
+        assert np.isfinite(amplified_probabilities(0.3, [MAX_POWER])).all()
+        with pytest.raises(PredicateError):
+            amplified_probabilities(0.3, [MAX_POWER + 1])
+        assert check_powers(range(3)) == (0, 1, 2)
+
     def test_negative_power_rejected(self, table_a1):
         with pytest.raises(PredicateError):
             amplified_probabilities(0.3, [0, -1])
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
         with pytest.raises(PredicateError):
-            mlqae_estimate(a, tc.flag_qubit, [1, -2], 10, seed=0)
+            mlqae_estimate(a, [1, -2], 10, seed=0)
 
     def test_order_and_repeats_follow_the_powers(self):
         probs = amplified_probabilities(0.3, [4, 0, 4, 1])
@@ -182,8 +213,8 @@ class TestMlqae:
     def test_power_zero_schedule_recovers_sample_mean(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
-        p = exact_amplitude(a, tc.flag_qubit)
-        est = mlqae_estimate(a, tc.flag_qubit, [0], shots_per_power=1_000_000, seed=3)
+        p = exact_amplitude(a)
+        est = mlqae_estimate(a, [0], shots_per_power=1_000_000, seed=3)
         assert est.exact_p == p
         assert abs(est.p_hat - est.hits[0] / 1_000_000) < 1e-6
         assert abs(est.p_hat - p) < 4 * math.sqrt(p * (1 - p) / 1_000_000)
@@ -192,21 +223,21 @@ class TestMlqae:
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.eq(15))
         for seed in (0, 1, 2):
-            est = mlqae_estimate(a, tc.flag_qubit, exponential_schedule(3), 50, seed=seed)
+            est = mlqae_estimate(a, exponential_schedule(3), 50, seed=seed)
             assert est.p_hat == 0.0
 
     def test_certain_amplitude_estimates_one(self):
         problem = no_motion_problem()
         tc = build_transport_circuit(problem)
         a = build_a_operator(tc, Predicate.eq(0))
-        est = mlqae_estimate(a, tc.flag_qubit, [0, 1, 2], 50, seed=5)
+        est = mlqae_estimate(a, [0, 1, 2], 50, seed=5)
         assert est.p_hat == 1.0
 
     def test_oracle_call_accounting(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
         schedule = exponential_schedule(4)
-        est = mlqae_estimate(a, tc.flag_qubit, schedule, 25, seed=1)
+        est = mlqae_estimate(a, schedule, 25, seed=1)
         assert est.total_oracle_calls == sum(25 * (2 * m + 1) for m in schedule)
         assert est.total_oracle_calls == oracle_calls(schedule, 25)
 
@@ -239,8 +270,8 @@ class TestMlqae:
     def test_deterministic_per_seed(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
-        est1 = mlqae_estimate(a, tc.flag_qubit, [0, 1, 2], 40, seed=11)
-        est2 = mlqae_estimate(a, tc.flag_qubit, [0, 1, 2], 40, seed=11)
+        est1 = mlqae_estimate(a, [0, 1, 2], 40, seed=11)
+        est2 = mlqae_estimate(a, [0, 1, 2], 40, seed=11)
         assert est1.p_hat == est2.p_hat and est1.hits == est2.hits
 
     # Recorded while the Grover powers were still simulated gate by gate: a
@@ -257,14 +288,14 @@ class TestMlqae:
     def test_golden_hits(self, table_a1, seed, hits):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
-        est = mlqae_estimate(a, tc.flag_qubit, exponential_schedule(6), 100, seed=seed)
+        est = mlqae_estimate(a, exponential_schedule(6), 100, seed=seed)
         assert est.hits == hits
 
     def test_empty_schedule_rejected(self, table_a1):
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, Predicate.region2())
         with pytest.raises(PredicateError):
-            mlqae_estimate(a, tc.flag_qubit, [], 10, seed=0)
+            mlqae_estimate(a, [], 10, seed=0)
 
     @pytest.mark.parametrize("shots", [0, -2])
     def test_nonpositive_shots_rejected(self, table_a1, shots):
@@ -272,10 +303,17 @@ class TestMlqae:
         tc = build_transport_circuit(table_a1)
         a = build_a_operator(tc, pred)
         with pytest.raises(PredicateError):
-            mlqae_estimate(a, tc.flag_qubit, [0, 1], shots, seed=0)
+            mlqae_estimate(a, [0, 1], shots, seed=0)
         with pytest.raises(PredicateError):
             quantum_curve(table_a1, pred, [0, 1], shots, 3)
 
     def test_exponential_schedule(self):
         assert exponential_schedule(6) == (1, 2, 4, 8, 16, 32, 64)
         assert exponential_schedule(0) == (1,)
+        assert exponential_schedule(61)[-1] == 1 << 61 <= MAX_POWER
+
+    @pytest.mark.parametrize("exponent", [-1, 62, 10**18])
+    def test_exponential_schedule_bounds(self, exponent):
+        # checked before the tuple is built, so a huge exponent allocates nothing
+        with pytest.raises(PredicateError):
+            exponential_schedule(exponent)

@@ -74,6 +74,13 @@ class TestZeroState:
             zero_state(11)
         zero_state(10)
 
+    def test_refused_allocation_is_capacity_error(self, monkeypatch):
+        # 2^50 amplitudes are 16 PiB, more than a 64-bit process can map, so
+        # the allocation is refused at once and nothing is allocated
+        monkeypatch.setenv(MAX_QUBITS_ENV, "60")
+        with pytest.raises(CapacityError, match=f"{16 << 50} bytes"):
+            zero_state(50)
+
 
 class TestApply:
     def test_roty_amplitudes(self):

@@ -9,6 +9,7 @@ from qtransport import RegionSpec, TransportProblem, sim
 from qtransport.circuit import Circuit, GateKind, encode_register
 from qtransport.classical_mc import exact_distribution
 from qtransport.errors import InvariantError
+from qtransport.qae import Predicate, build_a_operator
 from qtransport.transport import (
     build_controlled_adder,
     build_distribution_loader,
@@ -238,13 +239,20 @@ class TestTransportCircuit:
         tc = build_transport_circuit(table_a1)
         widths = {name: len(qs) for name, qs in tc.registers.items()}
         assert widths == {
-            "X": 4, "AncR": 1, "D1": 2, "D2": 2, "D3": 2, "R2": 1, "R3": 1, "AncP": 1, "flag": 1,
+            "X": 4, "AncR": 1, "D1": 2, "D2": 2, "D3": 2, "R2": 1, "R3": 1, "AncP": 1,
         }
-        assert tc.circuit.qubit_count == 15  # 14 plus the reserved flag
+        assert tc.circuit.qubit_count == 14
 
     def test_flag_untouched(self, table_a1):
+        # A adds the flag one past the transport qubits; only the oracle's
+        # gates, which follow the transport gates, touch it
         tc = build_transport_circuit(table_a1)
-        assert all(tc.flag_qubit not in g.qubits for g in tc.circuit.gates)
+        a = build_a_operator(tc, Predicate.region2())
+        assert a.registers["flag"] == (tc.circuit.qubit_count,)
+        transport, oracle = a.gates[: tc.circuit.gate_count], a.gates[tc.circuit.gate_count :]
+        assert transport == tc.circuit.gates
+        assert all(tc.circuit.qubit_count not in g.qubits for g in transport)
+        assert oracle and all(tc.circuit.qubit_count in g.qubits for g in oracle)
 
     def test_progress_flag_gating_structure(self, table_a1):
         # one compute/uncompute MCT pair per gated flight, none for flight 1
@@ -275,7 +283,7 @@ class TestTransportCircuit:
         problem = dataclasses.replace(table_a1, first_flight_always=False)
         tc = build_transport_circuit(problem)
         assert "R1" in tc.registers
-        assert tc.circuit.qubit_count == 16
+        assert tc.circuit.qubit_count == 15
         np.testing.assert_allclose(
             transport_distribution(problem), exact_distribution(problem), atol=1e-9
         )
