@@ -11,8 +11,9 @@ mass by the current region's absorb/scatter probabilities and then moves
 the surviving mass; with "post_flight" the mass moves first and is split at
 the landing position (which gates the next flight). The reaction deciding
 any given flight reads the same region either way, so the two timings yield
-identical final-position distributions; both loop structures are kept so
-that claim stays checkable.
+identical final-position distributions. `TransportProblem.steps` gives one
+step sequence per timing, and the sampler and the oracle each run one loop
+over it, so that claim stays checkable.
 
 `run_tally` runs a batch of histories and works only on those still in
 flight: an absorbed history is tallied at once and dropped. `run_history` is
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
-from .transport import PRE_FLIGHT, TransportProblem
+from .transport import MOVE, TransportProblem
 
 FLIGHT_CAP = 10**6
 
@@ -92,12 +93,10 @@ def expected_flights(p_absorb: float) -> float:
     return 1.0 / p_absorb
 
 
-def mean_flights_uncapped(
-    p_absorb: float, histories: int, seed: int, flight_cap: int = FLIGHT_CAP
-) -> float:
+def mean_flights_uncapped(p_absorb: float, histories: int, seed: int) -> float:
     """Empirical mean flight count in a single region with no flight cap.
 
-    Histories are cut off (with an error) at `flight_cap` flights, which is
+    Histories are cut off (with an error) at FLIGHT_CAP flights, which is
     unreachable in practice for any p_absorb of interest.
     """
     if not 0.0 < p_absorb <= 1.0:
@@ -110,8 +109,8 @@ def mean_flights_uncapped(
     rounds = 0
     while alive.any():
         rounds += 1
-        if rounds > flight_cap:
-            raise InvariantError(f"history exceeded the {flight_cap}-flight cap")
+        if rounds > FLIGHT_CAP:
+            raise InvariantError(f"history exceeded the {FLIGHT_CAP}-flight cap")
         flights[alive] += 1
         survivors = np.flatnonzero(alive)
         u = rng.random(len(survivors))
@@ -146,7 +145,6 @@ def _simulate_counts(
     counts = np.zeros(problem.position_count, dtype=np.int64)
     live = np.arange(shots)
     pos = np.zeros(shots, dtype=np.int64)
-    pre = problem.reaction_timing == PRE_FLIGHT
 
     # Region indices are intp and masks become index arrays before gathering:
     # `take` converts a bool index array on every call, and indexing with a
@@ -154,6 +152,8 @@ def _simulate_counts(
     def region_of(pos):
         return (pos >= boundary).astype(np.intp)
 
+    # Each step is a function so that its draw and scratch arrays are freed
+    # before the next step's full-length draw.
     def react():
         nonlocal counts, live, pos
         keep = rng.random(shots)[live] < scatter.take(region_of(pos))
@@ -169,13 +169,10 @@ def _simulate_counts(
         for cdf_k in thresholds:
             pos += u >= cdf_k.take(region)
 
-    if not pre and not problem.first_flight_always:
-        react()
-    for m in range(1, problem.max_flights + 1):
-        if pre and problem.has_reaction(m):
-            react()
-        move()
-        if not pre:
+    for step in problem.steps():
+        if step == MOVE:
+            move()
+        else:
             react()
     counts += np.bincount(pos, minlength=len(counts))
     return counts
@@ -222,16 +219,10 @@ def exact_distribution(problem: TransportProblem) -> np.ndarray:
     alive = np.zeros(size)
     alive[0] = 1.0
     settled = np.zeros(size)
-    pre = problem.reaction_timing == PRE_FLIGHT
-    if not pre and not problem.first_flight_always:
-        settled = settled + alive * (1.0 - p_scatter)
-        alive = alive * p_scatter
-    for m in range(1, problem.max_flights + 1):
-        if pre and problem.has_reaction(m):
-            settled = settled + alive * (1.0 - p_scatter)
-            alive = alive * p_scatter
-        alive = convolve_by_region(alive)
-        if not pre:
+    for step in problem.steps():
+        if step == MOVE:
+            alive = convolve_by_region(alive)
+        else:
             settled = settled + alive * (1.0 - p_scatter)
             alive = alive * p_scatter
     return alive + settled

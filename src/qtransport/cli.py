@@ -3,8 +3,8 @@
 Problems are JSON files (strict schema, unknown fields rejected);
 distributions go out as CSV, estimates as JSON. Every command is
 deterministic given its full flag set. Exit codes: 0 ok, 2 problem-file
-parse error, 3 invariant violation, 4 engine capacity exceeded, 5 bad
-predicate.
+parse error, 3 invariant violation, 4 engine capacity exceeded or an
+allocation refused, 5 bad predicate.
 """
 from __future__ import annotations
 
@@ -302,6 +302,10 @@ def main(argv=None) -> int:
                 return code
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        # an array request refused outright (numpy's message names the bytes)
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CODES[CapacityError]
 
 
 if __name__ == "__main__":

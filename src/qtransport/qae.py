@@ -26,7 +26,7 @@ import numpy as np
 from .circuit import Circuit, compose, inverse, phase_shift, x
 from .errors import InvariantError, PredicateError
 from .sim import apply_inplace, flag_probability, zero_state
-from .transport import TransportCircuit, TransportProblem, _region_flag_gates
+from .transport import TransportCircuit, TransportProblem, build_region_flag
 
 GEQ, EQ, REGION2 = "geq", "eq", "region2"
 MAX_POWER = (1 << 62) - 1  # largest Grover power m whose 2m+1 fits in an int64
@@ -105,7 +105,7 @@ def build_flag_oracle(tc: TransportCircuit, pred: Predicate) -> Circuit:
     x_register, flag = tc.x_register, tc.circuit.qubit_count
     if pred.kind == GEQ:
         _check_geq(pred.value, len(x_register))
-        gates = _region_flag_gates(x_register, pred.value, flag)
+        gates = build_region_flag(x_register, pred.value, flag).gates
     else:
         _check_eq(pred.value, len(x_register))
         controls = [(q, bool((pred.value >> i) & 1)) for i, q in enumerate(x_register)]

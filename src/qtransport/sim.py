@@ -146,7 +146,12 @@ def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
 
 def marginal(amplitudes: np.ndarray, qubits) -> np.ndarray:
     """Probability of each integer value of the register on `qubits`
-    (LSB first), as an array of length 2^len(qubits)."""
+    (LSB first), as an array of length 2^len(qubits). Raises InvariantError
+    if a qubit is out of range or repeated."""
+    qubits = tuple(qubits)
+    n = len(amplitudes).bit_length() - 1
+    if any(not 0 <= q < n for q in qubits) or len(set(qubits)) != len(qubits):
+        raise InvariantError(f"register {qubits} is not distinct qubits of a {n}-qubit state")
     probs = np.abs(amplitudes)
     np.square(probs, out=probs)
     probs, axis = _split(probs, qubits)

@@ -7,7 +7,7 @@ block does, in order:
 
     1. comparator: set Anc.R to |1> iff the position is in region 2;
     2. load the flight-distance register D_m with the superposed distance
-       pmf of the selected region, and (for gated flights) rotate the
+       pmf of the selected region, then (for gated flights) rotate the
        reaction qubit R_m so its |1> weight equals that region's scatter
        probability (|0> = absorbed, |1> = scattered);
     3. uncompute Anc.R;
@@ -37,6 +37,8 @@ from .errors import InvariantError
 
 PRE_FLIGHT = "pre_flight"
 POST_FLIGHT = "post_flight"
+REACT = "react"
+MOVE = "move"
 
 _PMF_SUM_TOL = 1e-9
 
@@ -123,18 +125,38 @@ class TransportProblem:
         """Whether flight m carries a reaction register R_m."""
         return flight >= 2 or not self.first_flight_always
 
+    def steps(self) -> tuple[str, ...]:
+        """REACT and MOVE in the order the reaction timing applies them.
+
+        pre_flight reacts before each gated flight; post_flight reacts after
+        every flight, and also before the first one when it is gated.
+        """
+        if self.reaction_timing == PRE_FLIGHT:
+            return tuple(
+                step
+                for m in range(1, self.max_flights + 1)
+                for step in ((REACT, MOVE) if self.has_reaction(m) else (MOVE,))
+            )
+        lead = (REACT,) if self.has_reaction(1) else ()
+        return lead + (MOVE, REACT) * self.max_flights
+
 
 # --- distribution loader ----------------------------------------------------
 
-def _loader_gates(pmf, qubits) -> list[Gate]:
-    """Binary tree of prefix-controlled Y rotations mapping |0..0> to sum sqrt(p)|d>.
+def build_distribution_loader(pmf, qubits) -> Circuit:
+    """Binary tree of prefix-controlled Y rotations mapping |0..0> on the
+    register `qubits` (LSB first, registered as "D") to sum sqrt(p)|d>.
 
     The rotation on bit j under high-bit prefix p puts the conditional mass
     of the lower half of that prefix's value block on |0>. Branches with
     zero mass are skipped (their angle is undefined and they are never
-    reached); zero angles are still emitted.
+    reached); zero angles are still emitted. An empty register (d_max 0)
+    gives no gates.
     """
+    pmf, qubits = _validated_pmf(pmf), tuple(qubits)
     width = len(qubits)
+    if len(pmf) > (1 << width):
+        raise InvariantError(f"pmf of length {len(pmf)} needs more than {width} qubits")
     full = np.zeros(1 << width)
     full[: len(pmf)] = pmf
     gates: list[Gate] = []
@@ -151,45 +173,31 @@ def _loader_gates(pmf, qubits) -> list[Gate]:
                 (qubits[j + 1 + k], bool((prefix >> k) & 1)) for k in range(width - 1 - j)
             ]
             gates.append(ry(angle, qubits[j], controls))
-    return gates
-
-
-def build_distribution_loader(pmf, width: int) -> Circuit:
-    """Standalone loader circuit on qubits 0..width-1 (register name "D")."""
-    pmf = _validated_pmf(pmf)
-    if len(pmf) > (1 << width):
-        raise InvariantError(f"pmf of length {len(pmf)} needs more than {width} qubits")
-    qubits = tuple(range(width))
-    return Circuit(width, tuple(_loader_gates(pmf, qubits)), {"D": qubits})
+    return Circuit(max(qubits, default=-1) + 1, tuple(gates), {"D": qubits})
 
 
 # --- region comparator -------------------------------------------------------
 
-def _region_flag_gates(x_register, boundary: int, target: int) -> list[Gate]:
-    """Flip target iff the x register encodes a value >= boundary (= 2^k).
+def build_region_flag(x_register, boundary: int, anc_qubit: int) -> Circuit:
+    """Comparator circuit: anc flips iff the x register encodes a value
+    >= boundary (= 2^k).
 
     That holds iff exactly one bit from k up is the highest 1, so: one X per
     such bit, highest first, controlled on it at |1> and every higher bit at
     |0>. The w-k conditions are disjoint and each gate has a control.
     """
-    k = boundary.bit_length() - 1
-    gates = []
-    for i in reversed(range(k, len(x_register))):
-        higher_zero = [(q, False) for q in reversed(x_register[i + 1 :])]
-        gates.append(x(target, higher_zero + [(x_register[i], True)]))
-    return gates
-
-
-def build_region_flag(x_register, boundary: int, anc_qubit: int) -> Circuit:
-    """Comparator circuit: anc flips iff x >= boundary."""
     x_register = tuple(x_register)
     width = len(x_register)
     if boundary <= 0 or boundary & (boundary - 1):
         raise InvariantError(f"boundary must be a power of two, got {boundary}")
     if boundary >= (1 << width):
         raise InvariantError(f"boundary {boundary} not below 2^{width}")
+    k = boundary.bit_length() - 1
+    gates = []
+    for i in reversed(range(k, width)):
+        higher_zero = [(q, False) for q in reversed(x_register[i + 1 :])]
+        gates.append(x(anc_qubit, higher_zero + [(x_register[i], True)]))
     n = max(x_register + (anc_qubit,)) + 1
-    gates = _region_flag_gates(x_register, boundary, anc_qubit)
     return Circuit(n, tuple(gates), {"X": x_register, "AncR": (anc_qubit,)})
 
 
@@ -199,19 +207,15 @@ def _reaction_angle(spec: RegionSpec) -> float:
     return 2.0 * math.acos(min(1.0, math.sqrt(spec.p_absorb)))
 
 
-def _reaction_gates(regions, anc_r: int, r_qubit: int) -> list[Gate]:
-    return [
-        ry(_reaction_angle(regions[1]), r_qubit, [(anc_r, True)]),
-        ry(_reaction_angle(regions[0]), r_qubit, [(anc_r, False)]),
-    ]
-
-
 def build_reaction_rotation(regions, anc_r: int, r_qubit: int) -> Circuit:
     """Rotate r_qubit so P(|1>) equals the scatter probability of the region
     selected by anc_r (|1> = region 2)."""
     regions = tuple(regions)
-    n = max(anc_r, r_qubit) + 1
-    return Circuit(n, tuple(_reaction_gates(regions, anc_r, r_qubit)), {"AncR": (anc_r,), "R": (r_qubit,)})
+    gates = (
+        ry(_reaction_angle(regions[1]), r_qubit, [(anc_r, True)]),
+        ry(_reaction_angle(regions[0]), r_qubit, [(anc_r, False)]),
+    )
+    return Circuit(max(anc_r, r_qubit) + 1, gates, {"AncR": (anc_r,), "R": (r_qubit,)})
 
 
 # --- in-place Fourier adder --------------------------------------------------
@@ -228,24 +232,11 @@ def _qft_gates(qubits) -> list[Gate]:
     return gates
 
 
-def _adder_gates(x_register, d_register, control: int | None) -> list[Gate]:
-    """|x>|d> -> |x+d mod 2^w>|d> (Draper, quant-ph/0008033): QFT on x, phase
-    kicks controlled on d, inverse QFT. The QFT output is bit-reversed, so the
-    kick for Fourier place j goes to x qubit w-1-j and no swaps are needed."""
-    w = len(x_register)
-    extra: list[Control] = [] if control is None else [(control, True)]
-    qft = _qft_gates(x_register)
-    gates = list(qft)
-    for k, dq in enumerate(d_register):
-        for j in range(w - k):
-            angle = math.pi / (1 << (w - 1 - j - k))
-            gates.append(phase_shift(angle, x_register[w - 1 - j], [(dq, True)] + extra))
-    gates.extend(inverse(Circuit(max(x_register) + 1, qft)).gates)
-    return gates
-
-
 def build_controlled_adder(x_register, d_register, control_qubit: int | None = None) -> Circuit:
-    """In-place adder of the d register into the x register, optionally gated."""
+    """In-place adder |x>|d> -> |x+d mod 2^w>|d>, optionally gated on
+    control_qubit (Draper, quant-ph/0008033): QFT on x, phase kicks
+    controlled on d, inverse QFT. The QFT output is bit-reversed, so the
+    kick for Fourier place j goes to x qubit w-1-j and no swaps are needed."""
     x_register, d_register = tuple(x_register), tuple(d_register)
     if len(d_register) > len(x_register):
         raise InvariantError("d register wider than x register")
@@ -255,7 +246,15 @@ def build_controlled_adder(x_register, d_register, control_qubit: int | None = N
     if len(set(touched)) != len(touched):
         raise InvariantError("adder registers and control must be disjoint")
     n = max(touched) + 1
-    gates = _adder_gates(x_register, d_register, control_qubit)
+    w = len(x_register)
+    extra: list[Control] = [] if control_qubit is None else [(control_qubit, True)]
+    qft = Circuit(n, _qft_gates(x_register))
+    gates = list(qft.gates)
+    for k, dq in enumerate(d_register):
+        for j in range(w - k):
+            angle = math.pi / (1 << (w - 1 - j - k))
+            gates.append(phase_shift(angle, x_register[w - 1 - j], [(dq, True)] + extra))
+    gates.extend(inverse(qft).gates)
     return Circuit(n, tuple(gates), {"X": x_register, "D": d_register})
 
 
@@ -292,51 +291,42 @@ class TransportCircuit:
 
 
 def build_transport_circuit(problem: TransportProblem) -> TransportCircuit:
-    """Assemble the full flight-by-flight circuit for a problem.
+    """Assemble the full flight-by-flight circuit for a problem from the
+    gates of the four gadget builders above, which are their only definition.
 
     Register layout (LSB-first within each register): X, then Anc.R, then
     per flight D_m (and R_m when the flight is gated), then Anc.P.
     """
-    w, n, dw = problem.x_qubits, problem.max_flights, problem.d_width
-    x_register = tuple(range(w))
-    anc_r = w
+    w, dw = problem.x_qubits, problem.d_width
+    x_register, anc_r = tuple(range(w)), w
+    flights = range(1, problem.max_flights + 1)
+    anc_p = w + 1 + sum(dw + problem.has_reaction(m) for m in flights)
     registers: dict[str, tuple[int, ...]] = {"X": x_register, "AncR": (anc_r,)}
-    cursor = w + 1
-    d_regs: dict[int, tuple[int, ...]] = {}
-    r_qubits: dict[int, int] = {}
-    for m in range(1, n + 1):
-        d_regs[m] = tuple(range(cursor, cursor + dw))
-        registers[f"D{m}"] = d_regs[m]
-        cursor += dw
-        if problem.has_reaction(m):
-            r_qubits[m] = cursor
-            registers[f"R{m}"] = (cursor,)
-            cursor += 1
-    anc_p, qubit_count = cursor, cursor + 1
-    registers["AncP"] = (anc_p,)
-
+    comparator = build_region_flag(x_register, problem.boundary, anc_r)
+    uncompare = inverse(comparator).gates
+    gating: list[int] = []  # the reaction qubits so far
     gates: list[Gate] = []
-    for m in range(1, n + 1):
-        comparator = Circuit(qubit_count, _region_flag_gates(x_register, problem.boundary, anc_r))
+    cursor = w + 1
+    for m in flights:
+        d_register = registers[f"D{m}"] = tuple(range(cursor, cursor + dw))
+        cursor += dw
         gates.extend(comparator.gates)
         for polarity, spec in ((True, problem.regions[1]), (False, problem.regions[0])):
-            loader = Circuit(qubit_count, _loader_gates(spec.distance_pmf, d_regs[m]))
+            loader = build_distribution_loader(spec.distance_pmf, d_register)
             gates.extend(add_controls(loader, [(anc_r, polarity)]).gates)
-            if m in r_qubits:
-                gates.append(ry(_reaction_angle(spec), r_qubits[m], [(anc_r, polarity)]))
-        gates.extend(inverse(comparator).gates)
+        if problem.has_reaction(m):
+            registers[f"R{m}"] = (cursor,)
+            gating.append(cursor)
+            gates.extend(build_reaction_rotation(problem.regions, anc_r, cursor).gates)
+            cursor += 1
+        gates.extend(uncompare)
         if dw == 0:
             continue  # no motion to gate
-        gating = [r_qubits[j] for j in range(1, m + 1) if j in r_qubits]
-        if gating:
-            progress = mct(gating, anc_p)
-            gates.append(progress)
-            gates.extend(_adder_gates(x_register, d_regs[m], anc_p))
-            gates.append(progress)
-        else:
-            gates.extend(_adder_gates(x_register, d_regs[m], None))
-
-    circuit = Circuit(qubit_count, tuple(gates), registers)
+        progress = [mct(gating, anc_p)] if gating else []
+        adder = build_controlled_adder(x_register, d_register, anc_p if gating else None)
+        gates.extend(progress + list(adder.gates) + progress)
+    registers["AncP"] = (anc_p,)
+    circuit = Circuit(anc_p + 1, tuple(gates), registers)
     return TransportCircuit(circuit, problem)
 
 

@@ -127,7 +127,7 @@ def test_c2_gadget_exhaustiveness(table_a1):
 
 def test_c3_loader_fidelity():
     def loaded(pmf, width):
-        c = build_distribution_loader(pmf, width)
+        c = build_distribution_loader(pmf, tuple(range(width)))
         state = sim.zero_state(width)
         sim.apply_inplace(state, c)
         return sim.marginal(state, c.registers["D"])

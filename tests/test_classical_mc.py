@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qtransport import RegionSpec, TransportProblem
+from qtransport import RegionSpec, TransportProblem, classical_mc
 from qtransport.classical_mc import (
     discretize_exponential,
     exact_distribution,
@@ -123,9 +123,10 @@ class TestExpectedFlights:
         mean = mean_flights_uncapped(0.25, 1_000_000, seed=3)
         assert abs(mean - 4.0) / 4.0 < 0.02
 
-    def test_cap_enforced(self):
+    def test_cap_enforced(self, monkeypatch):
+        monkeypatch.setattr(classical_mc, "FLIGHT_CAP", 3)
         with pytest.raises(InvariantError):
-            mean_flights_uncapped(0.01, 2000, seed=0, flight_cap=3)
+            mean_flights_uncapped(0.01, 2000, seed=0)
 
 
 class TestRunHistory:

@@ -167,6 +167,24 @@ class TestExitCodes:
         result = run_cli("exact", "-p", table_a1_path, env={"QTRANSPORT_MAX_QUBITS": ceiling})
         assert result.returncode == 4
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ("mc", "--mode", "flowchart", "--shots", str(2**50)),
+            ("mc", "--mode", "circuit", "--shots", str(2**50)),
+            ("convergence", "--predicate", "region2", "--schedule", "exp:1",
+             "--seeds", "1", "--budgets", str(2**50)),
+        ],
+        ids=["flowchart", "circuit", "convergence"],
+    )
+    def test_refused_allocation_is_4(self, table_a1_path, args):
+        # 2^50 eight-byte entries are past the 128 TiB address space, so the
+        # request is refused whatever the overcommit setting
+        result = run_cli(*args, "-p", table_a1_path)
+        assert result.returncode == 4
+        assert result.stderr.startswith("error: ")
+        assert "Traceback" not in result.stderr
+
     def test_bad_predicate_is_5(self, table_a1_path):
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "geq:3").returncode == 5
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "near:4").returncode == 5

@@ -9,8 +9,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtransport.circuit import dump_circuit, inverse, parse_circuit
 from qtransport.classical_mc import exact_distribution
 from qtransport.qae import Predicate, build_a_operator, exact_amplitude, predicate_mask
+from qtransport.sim import apply_inplace
 from qtransport.transport import build_transport_circuit, transport_distribution
 
 from conftest import random_problem
@@ -50,3 +52,28 @@ def test_transport_matches_oracle(seed):
     np.testing.assert_allclose(
         transport_distribution(problem), exact_distribution(problem), rtol=0, atol=1e-9
     )
+
+
+def transport_and_a(seed: int):
+    tc = build_transport_circuit(draw_problem(seed))
+    return tc.circuit, build_a_operator(tc, Predicate.region2())
+
+
+@DETERMINISTIC
+@given(seed=problem_seeds)
+def test_dump_round_trip(seed):
+    for c in transport_and_a(seed):
+        assert parse_circuit(dump_circuit(c)) == c
+
+
+@DETERMINISTIC
+@given(seed=problem_seeds, state_seed=problem_seeds)
+def test_inverse_restores_random_state(seed, state_seed):
+    rng = np.random.default_rng(state_seed)
+    for c in transport_and_a(seed):
+        state = rng.normal(size=1 << c.qubit_count) + 1j * rng.normal(size=1 << c.qubit_count)
+        state /= np.linalg.norm(state)
+        work = state.copy()
+        apply_inplace(work, c)
+        apply_inplace(work, inverse(c))
+        np.testing.assert_allclose(work, state, rtol=0, atol=1e-12)

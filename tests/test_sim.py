@@ -183,7 +183,7 @@ class TestApply:
         for _ in range(20):
             width = int(rng.integers(1, 5))
             pmf = random_pmf(rng, int(rng.integers(1, (1 << width) + 1)))
-            loader = Circuit(width + 1, build_distribution_loader(pmf, width).gates)
+            loader = Circuit(width + 1, build_distribution_loader(pmf, tuple(range(width))).gates)
             wrapped = add_controls(loader, [(width, False)])
             state = zero_state(width + 1)
             apply_inplace(state, wrapped)
@@ -192,6 +192,11 @@ class TestApply:
 
 
 class TestMarginal:
+    @pytest.mark.parametrize("qubits", [(5,), (0, 0), (-1,), (0, 3)])
+    def test_bad_register_rejected(self, qubits):
+        with pytest.raises(InvariantError):
+            marginal(zero_state(3), qubits)
+
     def test_zero_state(self):
         np.testing.assert_array_equal(marginal(zero_state(4), (0, 1, 2, 3)), [1] + [0] * 15)
 

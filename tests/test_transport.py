@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 
 from qtransport import RegionSpec, TransportProblem, sim
-from qtransport.circuit import Circuit, GateKind, encode_register
+from qtransport.circuit import Circuit, GateKind, add_controls, encode_register
 from qtransport.classical_mc import exact_distribution
 from qtransport.errors import InvariantError
 from qtransport.qae import Predicate, build_a_operator
 from qtransport.transport import (
+    MOVE,
+    REACT,
     build_controlled_adder,
     build_distribution_loader,
     build_reaction_rotation,
@@ -65,15 +67,32 @@ class TestProblemValidation:
             RegionSpec((1.0,), 1.5)
 
 
+class TestSteps:
+    @pytest.mark.parametrize(
+        "timing, first_always, want",
+        [
+            ("pre_flight", True, (MOVE, REACT, MOVE, REACT, MOVE)),
+            ("pre_flight", False, (REACT, MOVE, REACT, MOVE, REACT, MOVE)),
+            ("post_flight", True, (MOVE, REACT, MOVE, REACT, MOVE, REACT)),
+            ("post_flight", False, (REACT, MOVE, REACT, MOVE, REACT, MOVE, REACT)),
+        ],
+    )
+    def test_three_flights(self, table_a1, timing, first_always, want):
+        problem = dataclasses.replace(
+            table_a1, reaction_timing=timing, first_flight_always=first_always
+        )
+        assert problem.steps() == want
+
+
 class TestDistributionLoader:
     def loaded_marginal(self, pmf, width):
-        c = build_distribution_loader(pmf, width)
+        c = build_distribution_loader(pmf, tuple(range(width)))
         state = sim.zero_state(max(width, 1))
         sim.apply_inplace(state, c)
         return sim.marginal(state, c.registers["D"])
 
     def test_reference_angle_tree(self):
-        c = build_distribution_loader((0.3, 0.4, 0.2, 0.1), 2)
+        c = build_distribution_loader((0.3, 0.4, 0.2, 0.1), (0, 1))
         kinds = {g.kind for g in c.gates}
         assert kinds == {GateKind.ROT_Y}
         root, high_branch, low_branch = c.gates
@@ -85,7 +104,7 @@ class TestDistributionLoader:
         assert abs(low_branch.angle - 2 * math.acos(math.sqrt(0.3 / 0.7))) < 1e-15
 
     def test_point_mass_keeps_zero_state(self):
-        c = build_distribution_loader((1.0, 0.0, 0.0, 0.0), 2)
+        c = build_distribution_loader((1.0, 0.0, 0.0, 0.0), (0, 1))
         assert all(g.angle == 0.0 for g in c.gates)
         assert len(c.gates) == 2  # the empty {2,3} branch is skipped
         state = sim.zero_state(2)
@@ -94,7 +113,7 @@ class TestDistributionLoader:
 
     def test_zero_tail_branch_angle(self):
         # region-2 style pmf: the {2,3} branch carries all its mass at 2
-        c = build_distribution_loader((0.4, 0.4, 0.2, 0.0), 2)
+        c = build_distribution_loader((0.4, 0.4, 0.2, 0.0), (0, 1))
         high_branch = c.gates[1]
         assert high_branch.controls == ((1, True),)
         assert high_branch.angle == 0.0
@@ -112,13 +131,17 @@ class TestDistributionLoader:
             np.testing.assert_allclose(got[: len(pmf)], pmf, atol=1e-12)
             assert got[len(pmf):].max(initial=0.0) < 1e-12
 
+    def test_empty_register_has_no_gates(self):
+        c = build_distribution_loader((1.0,), ())
+        assert c.gates == () and c.qubit_count == 0 and c.registers == {"D": ()}
+
     def test_width_too_small(self):
         with pytest.raises(InvariantError):
-            build_distribution_loader((0.25,) * 4, 1)
+            build_distribution_loader((0.25,) * 4, (0,))
 
     def test_invalid_pmf(self):
         with pytest.raises(InvariantError):
-            build_distribution_loader((0.5, 0.4), 2)
+            build_distribution_loader((0.5, 0.4), (0, 1))
 
 
 class TestRegionFlag:
@@ -287,6 +310,28 @@ class TestTransportCircuit:
         np.testing.assert_allclose(
             transport_distribution(problem), exact_distribution(problem), atol=1e-9
         )
+
+    def test_assembled_from_gadget_builders(self, table_a1):
+        # every gate of each builder's output appears in the assembled circuit
+        rng = np.random.default_rng(9)
+        for problem in [table_a1] + [random_problem(rng) for _ in range(20)]:
+            tc = build_transport_circuit(problem)
+            assembled = set(tc.circuit.gates)
+            anc_r, d_register = tc.anc_r_qubit, tc.d_register
+            for m in range(1, problem.max_flights + 1):
+                gated = any(problem.has_reaction(j) for j in range(1, m + 1))
+                gadgets = [
+                    add_controls(build_distribution_loader(spec.distance_pmf, d_register(m)),
+                                 [(anc_r, polarity)])
+                    for polarity, spec in ((False, problem.regions[0]), (True, problem.regions[1]))
+                ]
+                gadgets.append(build_controlled_adder(
+                    tc.x_register, d_register(m), tc.anc_p_qubit if gated else None
+                ))
+                if problem.has_reaction(m):
+                    gadgets.append(build_reaction_rotation(problem.regions, anc_r, tc.r_qubit(m)))
+                for gadget in gadgets:
+                    assert gadget.gates and set(gadget.gates) <= assembled, (problem, m)
 
     def test_ancillae_restored(self, table_a1):
         tc = build_transport_circuit(table_a1)
