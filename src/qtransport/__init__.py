@@ -40,6 +40,7 @@ from .qae import (
     build_grover_operator,
     exact_amplitude,
     mlqae_estimate,
+    predicate_probability,
 )
 from .resources import ResourceEstimate, circuit_budget, practical_estimate
 from .sim import apply_inplace, flag_probability, marginal, sample, zero_state
@@ -47,6 +48,7 @@ from .transport import (
     RegionSpec,
     TransportCircuit,
     TransportProblem,
+    apply_transport_inplace,
     build_controlled_adder,
     build_distribution_loader,
     build_region_flag,

@@ -189,8 +189,8 @@ def cmd_qae(args) -> int:
     schedule = _parse_schedule(args.schedule)
     qae.check_shots_per_power(args.shots_per_power)
     _check_seed(args.seed)
-    a = qae.build_a_operator(build_transport_circuit(problem), pred)
-    estimate = qae.mlqae_estimate(a, schedule, args.shots_per_power, args.seed)
+    p = qae.predicate_probability(build_transport_circuit(problem), pred)
+    estimate = qae.mlqae_estimate(p, schedule, args.shots_per_power, args.seed)
     report = estimate.to_dict()
     report["predicate"] = str(pred)
     report["exact_p"] = estimate.exact_p

@@ -63,16 +63,17 @@ def quantum_curve(
 ) -> list[ConvergencePoint]:
     """RMSE of MLQAE per schedule prefix, at that prefix's oracle-call budget.
 
-    The flag probability of A|0> comes from one exact pass of A and the
-    Grover-power probabilities from `qae.amplified_probabilities`; per seed
-    only the shot counts and likelihood maximization are redrawn.
+    The flag probability of A|0> comes from one exact pass of A
+    (`qae.predicate_probability`) and the Grover-power probabilities from
+    `qae.amplified_probabilities`; per seed only the shot counts and
+    likelihood maximization are redrawn.
     """
     schedule = tuple(int(m) for m in schedule)
     if not schedule or n_seeds < 1:
         raise InvariantError("need a non-empty schedule and at least one seed")
     qae.check_shots_per_power(shots_per_power)
-    a = qae.build_a_operator(build_transport_circuit(problem), pred)
-    probs = qae.amplified_probabilities(qae.exact_amplitude(a), schedule)
+    p = qae.predicate_probability(build_transport_circuit(problem), pred)
+    probs = qae.amplified_probabilities(p, schedule)
     p_true = exact_predicate_probability(problem, pred)
     shots = [shots_per_power] * len(schedule)
     errors = np.zeros((n_seeds, len(schedule)))

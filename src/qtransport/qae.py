@@ -8,8 +8,15 @@ estimated. The Grover operator Q = A S0 A^-1 S_chi rotates that amplitude
 within the plane spanned by the flagged and unflagged parts of A|0>, so
 measuring the flag after Q^m A|0> sees probability sin^2((2m+1) theta)
 with theta = arcsin sqrt(p). Estimation reads p from one exact pass of A
-and takes the Grover-power probabilities from that closed form;
-`build_grover_operator` is the gate-level Q the tests check it against.
+(`predicate_probability`) and takes the Grover-power probabilities from
+that closed form; `build_grover_operator` is the gate-level Q the tests
+check it against.
+
+That pass writes the transport part of A at register level
+(`transport.apply_transport_inplace`) into the flag = 0 half of A's state
+and then runs the oracle's gates through `apply_inplace`.
+`exact_amplitude(a)` runs the whole gate-level A and is the reference the
+tests hold it to.
 
 Estimation is maximum-likelihood over a schedule of Grover powers: shot
 counts at each power are fused into one likelihood over theta, maximized on
@@ -26,7 +33,12 @@ import numpy as np
 from .circuit import Circuit, compose, inverse, phase_shift, x
 from .errors import InvariantError, PredicateError
 from .sim import apply_inplace, flag_probability, zero_state
-from .transport import TransportCircuit, TransportProblem, build_region_flag
+from .transport import (
+    TransportCircuit,
+    TransportProblem,
+    apply_transport_inplace,
+    build_region_flag,
+)
 
 GEQ, EQ, REGION2 = "geq", "eq", "region2"
 MAX_POWER = (1 << 62) - 1  # largest Grover power m whose 2m+1 fits in an int64
@@ -152,6 +164,19 @@ def exact_amplitude(a: Circuit) -> float:
     return flag_probability(amplitudes, flag)
 
 
+def predicate_probability(tc: TransportCircuit, pred: Predicate) -> float:
+    """Flag |1> probability of A|0> for A = build_a_operator(tc, pred).
+
+    A's state is allocated at A's width; the transport circuit runs at
+    register level into its flag = 0 half, then the oracle's gates run.
+    """
+    oracle = build_flag_oracle(tc, pred)
+    amplitudes = zero_state(oracle.qubit_count)
+    apply_transport_inplace(amplitudes[: 1 << tc.circuit.qubit_count], tc)
+    apply_inplace(amplitudes, oracle)
+    return flag_probability(amplitudes, _flag(oracle))
+
+
 def check_powers(powers) -> tuple[int, ...]:
     """The Grover powers as ints; PredicateError unless every m is
     nonnegative and at most MAX_POWER, so that 2m+1 fits in an int64."""
@@ -259,23 +284,22 @@ def check_shots_per_power(shots_per_power: int) -> None:
         raise PredicateError("shots_per_power must be >= 1")
 
 
-def mlqae_estimate(a: Circuit, schedule, shots_per_power: int, seed: int) -> QaeEstimate:
+def mlqae_estimate(p: float, schedule, shots_per_power: int, seed: int) -> QaeEstimate:
     """Maximum-likelihood amplitude estimation from sampled flag counts.
 
-    One exact pass of A gives the flag probability p (kept as `exact_p`).
-    For each Grover power m in the schedule the flag is measured
-    `shots_per_power` times, with counts drawn from the amplified
-    probability sin^2((2m+1) arcsin sqrt(p)), and all counts are fused into
-    one likelihood.
+    p is the flag probability of A|0> (kept as `exact_p`), as
+    `predicate_probability` computes it. For each Grover power m in the
+    schedule the flag is measured `shots_per_power` times, with counts
+    drawn from the amplified probability sin^2((2m+1) arcsin sqrt(p)), and
+    all counts are fused into one likelihood.
     """
     schedule = tuple(int(m) for m in schedule)
     if not schedule:
         raise PredicateError("schedule must be non-empty")
     check_shots_per_power(shots_per_power)
-    exact_p = exact_amplitude(a)
-    probs = amplified_probabilities(exact_p, schedule)
+    probs = amplified_probabilities(p, schedule)
     rng = np.random.default_rng(seed)
-    hits = tuple(int(rng.binomial(shots_per_power, p)) for p in probs)
+    hits = tuple(int(rng.binomial(shots_per_power, prob)) for prob in probs)
     shots = [shots_per_power] * len(schedule)
     theta = theta_from_hits(schedule, shots, hits)
     return QaeEstimate(
@@ -285,7 +309,7 @@ def mlqae_estimate(a: Circuit, schedule, shots_per_power: int, seed: int) -> Qae
         schedule=schedule,
         shots_per_power=shots_per_power,
         hits=hits,
-        exact_p=exact_p,
+        exact_p=p,
     )
 
 

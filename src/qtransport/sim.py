@@ -3,11 +3,14 @@
 A state is a plain complex128 array of 2^n amplitudes indexed LSB-first
 (bit i of the basis index is qubit i); `zero_state` makes one. Registers are
 passed as tuples of qubits, as in `Circuit.registers`. `apply_inplace` is
-the one way to run a circuit and the one gate kernel: it views the array
-with a length-2 axis per qubit a gate touches and one merged axis per run
-of untouched qubits, then fixes the control axes, so each gate reads and
-writes basic-slicing views of its controlled subspace and no index arrays
-are built. `marginal` and `flag_probability` read the same layout.
+the one way to run a circuit gate by gate and the one gate kernel: it views
+the array with a length-2 axis per qubit a gate touches and one merged axis
+per run of untouched qubits, then fixes the control axes, so each gate
+reads and writes basic-slicing views of its controlled subspace and no
+index arrays are built. `transport.apply_transport_inplace` writes the
+transport circuit's state at register level instead, and the tests hold it
+to this kernel; both end with `check_norm`. `marginal` and
+`flag_probability` read the same layout.
 
 `sample` draws shots from a probability vector sequentially and vectorized
 from a single seeded stream, so counts are bit-identical for a given seed
@@ -139,6 +142,11 @@ def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
         )
     for gate in circuit.gates:
         _apply_gate(amplitudes, gate)
+    check_norm(amplitudes)
+
+
+def check_norm(amplitudes: np.ndarray) -> None:
+    """Raise InvariantError unless the amplitudes have norm 1 (to 1e-9)."""
     norm = float(np.linalg.norm(amplitudes))
     if abs(norm - 1.0) >= 1e-9:
         raise InvariantError(f"statevector norm drifted to {norm!r}")

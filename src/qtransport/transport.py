@@ -24,6 +24,13 @@ the position register, so the position marginal is unaffected.
 
 The circuit has no amplitude-estimation flag: `qae` adds one when it builds
 the A operator on top of it.
+
+The gate list from `build_transport_circuit` is the only definition of the
+circuit. `apply_transport_inplace` computes the same final state at
+register level, one array operation per gadget instead of one pass over
+the state per gate (~50 per flight); `transport_distribution` (and so
+`exact`, `mc --mode circuit`) and `qae.predicate_probability` use it, and
+the tests hold it to `sim.apply_inplace` on the gate-level circuit.
 """
 from __future__ import annotations
 
@@ -32,6 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import sim
 from .circuit import Circuit, Control, Gate, add_controls, h, inverse, mct, phase_shift, ry, x
 from .errors import InvariantError
 
@@ -330,11 +338,92 @@ def build_transport_circuit(problem: TransportProblem) -> TransportCircuit:
     return TransportCircuit(circuit, problem)
 
 
+# --- register-level simulation -----------------------------------------------
+
+def _loaded_amplitudes(pmf, width: int) -> np.ndarray:
+    """Amplitudes the distribution loader leaves on a fresh width-qubit register."""
+    if width == 0:
+        return np.ones(1, dtype=np.complex128)
+    amplitudes = sim.zero_state(width)
+    sim.apply_inplace(amplitudes, build_distribution_loader(pmf, range(width)))
+    return amplitudes
+
+
+def _reaction_amplitudes(regions) -> tuple[np.ndarray, np.ndarray]:
+    """(|0>, |1>) amplitudes the reaction rotation leaves on a fresh R qubit,
+    for region 1 and region 2, from the angles of its two gates."""
+    rotation = build_reaction_rotation(regions, 0, 1)
+    angle = {positive: g.angle for g in rotation.gates for _, positive in g.controls}
+    return tuple(
+        np.array([np.cos(angle[in_region2] / 2.0), np.sin(angle[in_region2] / 2.0)])
+        for in_region2 in (False, True)
+    )
+
+
+def apply_transport_inplace(amplitudes: np.ndarray, tc: TransportCircuit) -> None:
+    """Write the final state of the transport circuit into amplitudes that
+    hold |0> on every register but X, one array operation per gadget.
+
+    The array is viewed with one axis per register of `tc.registers`, and
+    flight m writes only the block where AncR, AncP and every later
+    register are still |0>:
+      - comparator and AncP: each compute/uncompute pair cancels, so the
+        region is a boolean mask over X and the AND is "every gated R_j
+        so far is 1";
+      - loader and reaction: new[R_m=r, D_m=d] = old[0, 0] * load[d] *
+        react[r] for x's region, from the largest (r, d) down, so the
+        write is in place; `build_distribution_loader` and
+        `build_reaction_rotation` supply the amplitudes;
+      - adder: on the slab where D_m = d >= 1 and every gated R_j is 1,
+        a cyclic shift of X by d, which is the modular add exactly.
+
+    `tc.circuit` is the definition this pass must reproduce; the tests
+    compare the two on full states. Raises InvariantError if the array does
+    not hold 2^n amplitudes for the circuit's n qubits, or if the result's
+    norm is not 1.
+    """
+    problem, registers = tc.problem, tc.registers
+    n = tc.circuit.qubit_count
+    if len(amplitudes) != 1 << n:
+        raise InvariantError(
+            f"transport circuit has {n} qubits, state has {len(amplitudes)} amplitudes"
+        )
+    # registers sit on consecutive qubits in insertion order; in C order the
+    # register on the highest qubits varies slowest
+    names = tuple(reversed(registers))
+    state = amplitudes.reshape([1 << len(registers[name]) for name in names])
+
+    def part(values: dict) -> np.ndarray:
+        return state[tuple(values.get(name, slice(None)) for name in names)]
+
+    in_region2 = np.arange(problem.position_count) >= problem.boundary
+    load = [_loaded_amplitudes(spec.distance_pmf, problem.d_width) for spec in problem.regions]
+    react = _reaction_amplitudes(problem.regions)
+    no_reaction = (np.ones(1), np.ones(1))  # r = 0 only; the flight has no R axis
+    at_zero = {name: 0 for name in names if name != "X"}  # still |0> before this flight
+    gating: dict[str, int] = {}  # every gated R_j so far, held at 1
+    for m in range(1, problem.max_flights + 1):
+        d_name, r_name = f"D{m}", f"R{m}"
+        del at_zero[d_name]
+        if problem.has_reaction(m):
+            del at_zero[r_name]
+            gating[r_name] = 1
+        reaction = react if problem.has_reaction(m) else no_reaction
+        old = part({**at_zero, d_name: 0, r_name: 0})
+        for r in reversed(range(len(reaction[0]))):
+            for d in reversed(range(len(load[0]))):
+                region1, region2 = (load[k][d] * reaction[k][r] for k in (0, 1))
+                factor = np.where(in_region2, region2, region1)
+                np.multiply(old, factor, out=part({**at_zero, d_name: d, r_name: r}))
+        for d in range(1, len(load[0])):
+            slab = part({**at_zero, **gating, d_name: d})
+            slab[...] = np.roll(slab, d, axis=-1)
+    sim.check_norm(amplitudes)
+
+
 def transport_distribution(problem: TransportProblem) -> np.ndarray:
     """Final-position probabilities read from the statevector's X marginal."""
-    from . import sim
-
     tc = build_transport_circuit(problem)
     amplitudes = sim.zero_state(tc.circuit.qubit_count)
-    sim.apply_inplace(amplitudes, tc.circuit)
+    apply_transport_inplace(amplitudes, tc)
     return sim.marginal(amplitudes, tc.x_register)

@@ -1,9 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
 from qtransport import RegionSpec, TransportProblem
 from qtransport.qae import build_grover_operator
 from qtransport.sim import apply_inplace, flag_probability, zero_state
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 TABLE_A1_REGIONS = (
     RegionSpec((0.3, 0.4, 0.2, 0.1), 0.25),

@@ -3,16 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qtransport import classical_mc, cli, convergence
+from qtransport import classical_mc, cli, convergence, qae, sim, transport
 from qtransport.circuit import parse_circuit
 from qtransport.classical_mc import exact_distribution
 from qtransport.cli import main, parse_problem_dict, problem_to_dict
+from qtransport.transport import build_transport_circuit
 
-from conftest import HAND_P_ZERO
+from conftest import HAND_P_ZERO, SRC
 
 TABLE_A1_DOC = {
     "x_qubits": 4,
@@ -47,7 +49,134 @@ ODD_WIDTH_DOC = {
 }
 
 
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+def gate_level_csv(doc) -> str:
+    """`exact`'s CSV from the gate-level statevector (apply_inplace, then
+    marginal): the reference the register-level pass is held to."""
+    tc = build_transport_circuit(parse_problem_dict(doc))
+    amplitudes = sim.zero_state(tc.circuit.qubit_count)
+    sim.apply_inplace(amplitudes, tc.circuit)
+    rows = enumerate(sim.marginal(amplitudes, tc.x_register))
+    return "position,probability\n" + "".join(f"{i},{float(p)!r}\n" for i, p in rows)
+
+
+GATE_LEVEL_TABLE_A1_CSV = (
+    "position,probability\n"
+    "0,0.10706249999999955\n"
+    "1,0.20574999999999907\n"
+    "2,0.2138749999999991\n"
+    "3,0.1984374999999991\n"
+    "4,0.15209999999999935\n"
+    "5,0.08129999999999966\n"
+    "6,0.03517499999999985\n"
+    "7,0.0053999999999999795\n"
+    "8,0.0008999999999999966\n"
+    "9,5.3474508788186844e-33\n"
+    "10,4.954323726444059e-33\n"
+    "11,4.512363269092634e-33\n"
+    "12,1.7608949180827683e-33\n"
+    "13,3.5437966044646527e-33\n"
+    "14,1.700010178451334e-33\n"
+    "15,1.6774866654078108e-33\n"
+)
+
+GATE_LEVEL_ODD_WIDTH_CSV = (
+    "position,probability\n"
+    "0,0.06399999999999958\n"
+    "1,0.11759999999999936\n"
+    "2,0.15567999999999915\n"
+    "3,0.15511999999999918\n"
+    "4,0.18802319999999845\n"
+    "5,0.1513875999999987\n"
+    "6,0.0909581999999992\n"
+    "7,0.04724279999999958\n"
+    "8,0.020985799999999805\n"
+    "9,0.006969599999999936\n"
+    "10,0.0017181999999999835\n"
+    "11,0.0002903999999999972\n"
+    "12,2.419999999999976e-05\n"
+    "13,4.164213450407371e-33\n"
+    "14,2.5244417091365087e-33\n"
+    "15,2.190374172614373e-33\n"
+    "16,1.8814516064842024e-33\n"
+    "17,9.796397777888656e-33\n"
+    "18,4.6153764007146935e-33\n"
+    "19,7.457685813480539e-33\n"
+    "20,6.24610264913169e-33\n"
+    "21,1.2811769829186615e-32\n"
+    "22,6.500794578308937e-33\n"
+    "23,5.142147881597304e-33\n"
+    "24,4.591075855808445e-33\n"
+    "25,4.1335147101165915e-33\n"
+    "26,3.4985874413085274e-33\n"
+    "27,3.300551549695894e-33\n"
+    "28,3.5197188449929275e-33\n"
+    "29,4.568944487246959e-33\n"
+    "30,3.048807659261676e-33\n"
+    "31,2.4622301659772676e-33\n"
+)
+
+REGISTER_LEVEL_TABLE_A1_CSV = (
+    "position,probability\n"
+    "0,0.10706250000000006\n"
+    "1,0.20575000000000013\n"
+    "2,0.2138750000000001\n"
+    "3,0.19843750000000004\n"
+    "4,0.1521000000000001\n"
+    "5,0.08130000000000003\n"
+    "6,0.03517500000000002\n"
+    "7,0.005400000000000002\n"
+    "8,0.0009000000000000005\n"
+    "9,0.0\n"
+    "10,0.0\n"
+    "11,0.0\n"
+    "12,0.0\n"
+    "13,0.0\n"
+    "14,0.0\n"
+    "15,0.0\n"
+)
+
+REGISTER_LEVEL_ODD_WIDTH_CSV = (
+    "position,probability\n"
+    "0,0.06400000000000006\n"
+    "1,0.11760000000000007\n"
+    "2,0.15568000000000012\n"
+    "3,0.15512000000000037\n"
+    "4,0.1880231999999999\n"
+    "5,0.15138759999999982\n"
+    "6,0.09095819999999986\n"
+    "7,0.047242799999999946\n"
+    "8,0.020985799999999964\n"
+    "9,0.0069695999999999855\n"
+    "10,0.0017181999999999961\n"
+    "11,0.0002903999999999994\n"
+    "12,2.4199999999999948e-05\n"
+    "13,0.0\n"
+    "14,0.0\n"
+    "15,0.0\n"
+    "16,0.0\n"
+    "17,0.0\n"
+    "18,0.0\n"
+    "19,0.0\n"
+    "20,0.0\n"
+    "21,0.0\n"
+    "22,0.0\n"
+    "23,0.0\n"
+    "24,0.0\n"
+    "25,0.0\n"
+    "26,0.0\n"
+    "27,0.0\n"
+    "28,0.0\n"
+    "29,0.0\n"
+    "30,0.0\n"
+    "31,0.0\n"
+)
+
+# qae's exact_p on table A1 at seed 0: (gate-level A, recorded before the
+# register-level pass; register-level transport, then the oracle's gates)
+EXACT_P_GOLDENS = {
+    "geq:8": (0.0008999999999999966, 0.0009000000000000005),
+    "eq:5": (0.08129999999999965, 0.08130000000000004),
+}
 
 
 def run_cli(*args, env=None):
@@ -185,6 +314,24 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ")
         assert "Traceback" not in result.stderr
 
+    def test_past_ceiling_exits_4_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # x_qubits 7 and 7 flights make a 29-qubit circuit, an 8 GiB state
+        def fail(*args, **kwargs):
+            raise AssertionError("ran the transport pass past the ceiling")
+
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=7, max_flights=7)))
+        monkeypatch.delenv("QTRANSPORT_MAX_QUBITS", raising=False)
+        monkeypatch.setattr(transport, "apply_transport_inplace", fail)
+        tracemalloc.start()
+        try:
+            assert main(["exact", "-p", str(path)]) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == "error: 29 qubits exceeds the configured ceiling of 26\n"
+        assert peak < 16 << 20
+
     def test_bad_predicate_is_5(self, table_a1_path):
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "geq:3").returncode == 5
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "near:4").returncode == 5
@@ -217,69 +364,61 @@ class TestExact:
         assert run_cli("exact", "-p", table_a1_path, "-o", str(out)).returncode == 0
         assert len(read_csv(out.read_text())) == 16
 
-    # Recorded before the comparator and the Fourier adder were rebuilt from
-    # fewer gates; the rebuilt circuit must print the same bytes.
-    def test_golden_table_a1(self, table_a1_path, capsys):
-        assert main(["exact", "-p", table_a1_path]) == 0
-        assert capsys.readouterr().out == (
-            "position,probability\n"
-            "0,0.10706249999999955\n"
-            "1,0.20574999999999907\n"
-            "2,0.2138749999999991\n"
-            "3,0.1984374999999991\n"
-            "4,0.15209999999999935\n"
-            "5,0.08129999999999966\n"
-            "6,0.03517499999999985\n"
-            "7,0.0053999999999999795\n"
-            "8,0.0008999999999999966\n"
-            "9,5.3474508788186844e-33\n"
-            "10,4.954323726444059e-33\n"
-            "11,4.512363269092634e-33\n"
-            "12,1.7608949180827683e-33\n"
-            "13,3.5437966044646527e-33\n"
-            "14,1.700010178451334e-33\n"
-            "15,1.6774866654078108e-33\n"
-        )
+    # Recorded from `exact` before the comparator and the Fourier adder were
+    # rebuilt from fewer gates. `exact` now runs the register-level pass, so
+    # these bytes pin the gate-level reference instead, which is unchanged.
+    def test_golden_table_a1(self):
+        assert gate_level_csv(TABLE_A1_DOC) == GATE_LEVEL_TABLE_A1_CSV
 
-    def test_golden_odd_width(self, tmp_path, capsys):
-        path = tmp_path / "odd.json"
-        path.write_text(json.dumps(ODD_WIDTH_DOC))
+    def test_golden_odd_width(self):
+        assert gate_level_csv(ODD_WIDTH_DOC) == GATE_LEVEL_ODD_WIDTH_CSV
+
+    # Recorded from the register-level pass.
+    @pytest.mark.parametrize(
+        "doc, golden",
+        [(TABLE_A1_DOC, REGISTER_LEVEL_TABLE_A1_CSV), (ODD_WIDTH_DOC, REGISTER_LEVEL_ODD_WIDTH_CSV)],
+        ids=["table_a1", "odd_width"],
+    )
+    def test_golden_register_level(self, tmp_path, capsys, doc, golden):
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
         assert main(["exact", "-p", str(path)]) == 0
-        assert capsys.readouterr().out == (
-            "position,probability\n"
-            "0,0.06399999999999958\n"
-            "1,0.11759999999999936\n"
-            "2,0.15567999999999915\n"
-            "3,0.15511999999999918\n"
-            "4,0.18802319999999845\n"
-            "5,0.1513875999999987\n"
-            "6,0.0909581999999992\n"
-            "7,0.04724279999999958\n"
-            "8,0.020985799999999805\n"
-            "9,0.006969599999999936\n"
-            "10,0.0017181999999999835\n"
-            "11,0.0002903999999999972\n"
-            "12,2.419999999999976e-05\n"
-            "13,4.164213450407371e-33\n"
-            "14,2.5244417091365087e-33\n"
-            "15,2.190374172614373e-33\n"
-            "16,1.8814516064842024e-33\n"
-            "17,9.796397777888656e-33\n"
-            "18,4.6153764007146935e-33\n"
-            "19,7.457685813480539e-33\n"
-            "20,6.24610264913169e-33\n"
-            "21,1.2811769829186615e-32\n"
-            "22,6.500794578308937e-33\n"
-            "23,5.142147881597304e-33\n"
-            "24,4.591075855808445e-33\n"
-            "25,4.1335147101165915e-33\n"
-            "26,3.4985874413085274e-33\n"
-            "27,3.300551549695894e-33\n"
-            "28,3.5197188449929275e-33\n"
-            "29,4.568944487246959e-33\n"
-            "30,3.048807659261676e-33\n"
-            "31,2.4622301659772676e-33\n"
+        assert capsys.readouterr().out == golden
+
+    # The register-level pass shifts the cyclic add exactly instead of
+    # through a Fourier transform, so each value may move by rounding only,
+    # and never away from the DP oracle. The largest move is 1.4e-15 (odd
+    # width, where the gate-level values were up to 1.6e-15 off the oracle).
+    @pytest.mark.parametrize(
+        "doc, gate_level, register_level",
+        [
+            (TABLE_A1_DOC, GATE_LEVEL_TABLE_A1_CSV, REGISTER_LEVEL_TABLE_A1_CSV),
+            (ODD_WIDTH_DOC, GATE_LEVEL_ODD_WIDTH_CSV, REGISTER_LEVEL_ODD_WIDTH_CSV),
+        ],
+        ids=["table_a1", "odd_width"],
+    )
+    def test_rerecorded_golden_moves_toward_oracle(self, doc, gate_level, register_level):
+        old, new = (
+            np.array([float(r["probability"]) for r in read_csv(text)])
+            for text in (gate_level, register_level)
         )
+        oracle = exact_distribution(parse_problem_dict(doc))
+        assert np.abs(new - old).max() <= 2e-15
+        assert (np.abs(new - oracle) <= np.abs(old - oracle)).all()
+
+
+    def test_22_qubits_matches_oracle(self, tmp_path, capsys):
+        # x_qubits 6, 5 flights: 22 qubits, a 64 MiB state
+        doc = dict(TABLE_A1_DOC, x_qubits=6, max_flights=5)
+        assert build_transport_circuit(parse_problem_dict(doc)).circuit.qubit_count == 22
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(doc))
+        dists = []
+        for extra in ([], ["--oracle"]):
+            assert main(["exact", "-p", str(path), *extra]) == 0
+            rows = read_csv(capsys.readouterr().out)
+            dists.append(np.array([float(r["probability"]) for r in rows]))
+        assert np.abs(dists[0] - dists[1]).max() < 1e-9
 
 
 class TestMc:
@@ -350,6 +489,32 @@ class TestMc:
             "15,0,0.0\n"
         )
 
+    def test_golden_circuit_output(self, table_a1_path, capsys):
+        # Recorded while `mc --mode circuit` sampled the marginal of the
+        # gate-level statevector; the register-level state must draw the
+        # same counts.
+        args = ["mc", "-p", table_a1_path, "--mode", "circuit", "--shots", "20000", "--seed", "7"]
+        assert main(args) == 0
+        assert capsys.readouterr().out == (
+            "position,count,frequency\n"
+            "0,2094,0.1047\n"
+            "1,4161,0.20805\n"
+            "2,4220,0.211\n"
+            "3,3923,0.19615\n"
+            "4,3109,0.15545\n"
+            "5,1698,0.0849\n"
+            "6,674,0.0337\n"
+            "7,107,0.00535\n"
+            "8,14,0.0007\n"
+            "9,0,0.0\n"
+            "10,0,0.0\n"
+            "11,0,0.0\n"
+            "12,0,0.0\n"
+            "13,0,0.0\n"
+            "14,0,0.0\n"
+            "15,0,0.0\n"
+        )
+
 
 class TestQae:
     def test_region2_estimate(self, table_a1_path, table_a1):
@@ -367,12 +532,15 @@ class TestQae:
 
     # Recorded before the comparator was rebuilt from fewer gates. It flags
     # region 2 in every flight and is the geq flag oracle, so a changed
-    # exact_p or one flipped draw shows here.
+    # exact_p or one flipped draw shows here. exact_p was re-recorded from
+    # the register-level pass; the draws did not change.
     @pytest.mark.parametrize(
         "predicate, p_hat, theta_hat, hits, exact_p",
         [
-            ("geq:8", 0.0009121326243193425, 0.030206126662520292, (1, 1, 3, 15, 77, 85, 47), 0.0008999999999999966),
-            ("eq:5", 0.08108407139636743, 0.2887483854866221, (57, 97, 32, 96, 2, 0, 21), 0.08129999999999965),
+            pytest.param("geq:8", 0.0009121326243193425, 0.030206126662520292, (1, 1, 3, 15, 77, 85, 47),
+                         EXACT_P_GOLDENS["geq:8"][1], id="geq:8"),
+            pytest.param("eq:5", 0.08108407139636743, 0.2887483854866221, (57, 97, 32, 96, 2, 0, 21),
+                         EXACT_P_GOLDENS["eq:5"][1], id="eq:5"),
         ],
     )
     def test_golden_report(self, table_a1_path, capsys, predicate, p_hat, theta_hat, hits, exact_p):
@@ -389,6 +557,18 @@ class TestQae:
             "seed": 0,
         }
         assert capsys.readouterr().out == json.dumps(report, indent=2) + "\n"
+
+    @pytest.mark.parametrize("predicate", sorted(EXACT_P_GOLDENS))
+    def test_rerecorded_exact_p_moves_toward_oracle(self, predicate):
+        old, new = EXACT_P_GOLDENS[predicate]
+        problem = parse_problem_dict(TABLE_A1_DOC)
+        pred = qae.parse_predicate(predicate)
+        # the gate-level A still gives the old recorded value
+        a = qae.build_a_operator(build_transport_circuit(problem), pred)
+        assert qae.exact_amplitude(a) == old
+        oracle = exact_distribution(problem)[qae.predicate_mask(pred, problem)].sum()
+        assert abs(new - old) <= 2e-15
+        assert abs(new - oracle) <= abs(old - oracle)
 
     def test_certain_outcome(self, no_motion_path):
         result = run_cli("qae", "-p", no_motion_path, "--predicate", "eq:0", "--schedule", "0,1")
@@ -522,6 +702,14 @@ class TestConvergence:
         args = ["convergence", "-p", str(path), "--predicate", "region2", "--schedule", "exp:2"]
         assert main(args) == 4
         assert "106 qubits exceeds" in capsys.readouterr().err
+
+    def test_qae_too_wide_names_the_a_width(self, tmp_path, monkeypatch, capsys):
+        # the state is allocated at A's width, one past the transport circuit
+        monkeypatch.delenv("QTRANSPORT_MAX_QUBITS", raising=False)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=8, max_flights=32, boundary=64)))
+        assert main(["qae", "-p", str(path), "--predicate", "region2"]) == 4
+        assert capsys.readouterr().err == "error: 106 qubits exceeds the configured ceiling of 26\n"
 
 
 class TestDumpCircuit:

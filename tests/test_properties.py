@@ -11,9 +11,19 @@ from hypothesis import strategies as st
 
 from qtransport.circuit import dump_circuit, inverse, parse_circuit
 from qtransport.classical_mc import exact_distribution
-from qtransport.qae import Predicate, build_a_operator, exact_amplitude, predicate_mask
-from qtransport.sim import apply_inplace
-from qtransport.transport import build_transport_circuit, transport_distribution
+from qtransport.qae import (
+    Predicate,
+    build_a_operator,
+    exact_amplitude,
+    predicate_mask,
+    predicate_probability,
+)
+from qtransport.sim import apply_inplace, zero_state
+from qtransport.transport import (
+    apply_transport_inplace,
+    build_transport_circuit,
+    transport_distribution,
+)
 
 from conftest import random_problem
 
@@ -27,22 +37,45 @@ def draw_problem(seed: int):
     return random_problem(np.random.default_rng(seed))
 
 
+def draw_predicate(kind: str, v: int, problem):
+    if kind == "region2":
+        return Predicate.region2()
+    if kind == "geq:boundary":
+        return Predicate.geq(problem.boundary)
+    return Predicate.eq(v % problem.position_count)
+
+
 @DETERMINISTIC
 @given(seed=problem_seeds, kind=predicate_kinds, v=st.integers(0, 31))
 def test_flag_probability_is_predicate_mass(seed, kind, v):
     problem = draw_problem(seed)
-    if kind == "region2":
-        pred = Predicate.region2()
-    elif kind == "geq:boundary":
-        pred = Predicate.geq(problem.boundary)
-    else:
-        pred = Predicate.eq(v % problem.position_count)
+    pred = draw_predicate(kind, v, problem)
     tc = build_transport_circuit(problem)
     a = build_a_operator(tc, pred)
     flag = a.registers["flag"][0]
     assert not any(flag in g.qubits for g in a.gates[: tc.circuit.gate_count])
     mass = transport_distribution(problem)[predicate_mask(pred, problem)].sum()
     assert abs(exact_amplitude(a) - mass) <= 1e-12
+
+
+@DETERMINISTIC
+@given(seed=problem_seeds, kind=predicate_kinds, v=st.integers(0, 31))
+def test_register_level_flag_probability_matches_gate_level(seed, kind, v):
+    problem = draw_problem(seed)
+    pred = draw_predicate(kind, v, problem)
+    tc = build_transport_circuit(problem)
+    want = exact_amplitude(build_a_operator(tc, pred))
+    assert abs(predicate_probability(tc, pred) - want) <= 1e-12
+
+
+@DETERMINISTIC
+@given(seed=problem_seeds)
+def test_register_level_state_matches_gate_level(seed):
+    tc = build_transport_circuit(draw_problem(seed))
+    want, got = zero_state(tc.circuit.qubit_count), zero_state(tc.circuit.qubit_count)
+    apply_inplace(want, tc.circuit)
+    apply_transport_inplace(got, tc)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 @DETERMINISTIC

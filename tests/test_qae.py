@@ -6,7 +6,7 @@ import pytest
 from qtransport import RegionSpec, TransportProblem, sim
 from qtransport.classical_mc import exact_distribution
 from qtransport.convergence import quantum_curve
-from qtransport.errors import InvariantError, PredicateError
+from qtransport.errors import CapacityError, InvariantError, PredicateError
 from qtransport.qae import (
     MAX_POWER,
     Predicate,
@@ -23,6 +23,7 @@ from qtransport.qae import (
     oracle_calls,
     parse_predicate,
     predicate_mask,
+    predicate_probability,
 )
 from qtransport.transport import build_region_flag, build_transport_circuit
 
@@ -107,6 +108,36 @@ class TestFlagOracle:
         assert abs(exact_amplitude(a) - 1.0) < 1e-12
 
 
+class TestPredicateProbability:
+    """The register-level A pass against the gate-level A."""
+
+    @staticmethod
+    def assert_matches_gate_level(tc, preds):
+        for pred in preds:
+            want = exact_amplitude(build_a_operator(tc, pred))
+            assert abs(predicate_probability(tc, pred) - want) <= 1e-12, pred
+
+    def test_table_a1(self, table_a1):
+        preds = [Predicate.region2()] + [Predicate.geq(1 << k) for k in range(4)]
+        preds += [Predicate.eq(v) for v in range(16)]
+        self.assert_matches_gate_level(build_transport_circuit(table_a1), preds)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_problems(self, seed):
+        problem = random_problem(np.random.default_rng(3000 + seed))
+        v = seed % problem.position_count
+        preds = Predicate.region2(), Predicate.geq(problem.boundary), Predicate.eq(v)
+        self.assert_matches_gate_level(build_transport_circuit(problem), preds)
+
+    def test_state_has_the_width_of_a(self, table_a1, monkeypatch):
+        # the transport circuit fits a 14-qubit ceiling; A needs 15
+        monkeypatch.setenv("QTRANSPORT_MAX_QUBITS", "14")
+        tc = build_transport_circuit(table_a1)
+        sim.zero_state(tc.circuit.qubit_count)
+        with pytest.raises(CapacityError, match="15 qubits exceeds the configured ceiling of 14"):
+            predicate_probability(tc, Predicate.region2())
+
+
 class TestFlagLocation:
     def test_a_adds_the_flag(self, table_a1):
         tc = build_transport_circuit(table_a1)
@@ -122,8 +153,6 @@ class TestFlagLocation:
             exact_amplitude(transport)
         with pytest.raises(InvariantError):
             build_grover_operator(transport)
-        with pytest.raises(InvariantError):
-            mlqae_estimate(transport, [0, 1], 10, seed=0)
         with pytest.raises(InvariantError):
             simulated_grover_probabilities(transport, [0])
 
@@ -198,10 +227,9 @@ class TestAmplifiedProbabilities:
     def test_negative_power_rejected(self, table_a1):
         with pytest.raises(PredicateError):
             amplified_probabilities(0.3, [0, -1])
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
+        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
         with pytest.raises(PredicateError):
-            mlqae_estimate(a, [1, -2], 10, seed=0)
+            mlqae_estimate(p, [1, -2], 10, seed=0)
 
     def test_order_and_repeats_follow_the_powers(self):
         probs = amplified_probabilities(0.3, [4, 0, 4, 1])
@@ -211,33 +239,27 @@ class TestAmplifiedProbabilities:
 
 class TestMlqae:
     def test_power_zero_schedule_recovers_sample_mean(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
-        p = exact_amplitude(a)
-        est = mlqae_estimate(a, [0], shots_per_power=1_000_000, seed=3)
+        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
+        est = mlqae_estimate(p, [0], shots_per_power=1_000_000, seed=3)
         assert est.exact_p == p
         assert abs(est.p_hat - est.hits[0] / 1_000_000) < 1e-6
         assert abs(est.p_hat - p) < 4 * math.sqrt(p * (1 - p) / 1_000_000)
 
     def test_zero_amplitude_estimates_zero(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.eq(15))
+        p = predicate_probability(build_transport_circuit(table_a1), Predicate.eq(15))
         for seed in (0, 1, 2):
-            est = mlqae_estimate(a, exponential_schedule(3), 50, seed=seed)
+            est = mlqae_estimate(p, exponential_schedule(3), 50, seed=seed)
             assert est.p_hat == 0.0
 
     def test_certain_amplitude_estimates_one(self):
-        problem = no_motion_problem()
-        tc = build_transport_circuit(problem)
-        a = build_a_operator(tc, Predicate.eq(0))
-        est = mlqae_estimate(a, [0, 1, 2], 50, seed=5)
+        p = predicate_probability(build_transport_circuit(no_motion_problem()), Predicate.eq(0))
+        est = mlqae_estimate(p, [0, 1, 2], 50, seed=5)
         assert est.p_hat == 1.0
 
     def test_oracle_call_accounting(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
+        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
         schedule = exponential_schedule(4)
-        est = mlqae_estimate(a, schedule, 25, seed=1)
+        est = mlqae_estimate(p, schedule, 25, seed=1)
         assert est.total_oracle_calls == sum(25 * (2 * m + 1) for m in schedule)
         assert est.total_oracle_calls == oracle_calls(schedule, 25)
 
@@ -268,10 +290,9 @@ class TestMlqae:
         assert abs(got - theta) < 1e-6
 
     def test_deterministic_per_seed(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
-        est1 = mlqae_estimate(a, [0, 1, 2], 40, seed=11)
-        est2 = mlqae_estimate(a, [0, 1, 2], 40, seed=11)
+        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
+        est1 = mlqae_estimate(p, [0, 1, 2], 40, seed=11)
+        est2 = mlqae_estimate(p, [0, 1, 2], 40, seed=11)
         assert est1.p_hat == est2.p_hat and est1.hits == est2.hits
 
     # Recorded while the Grover powers were still simulated gate by gate: a
@@ -286,24 +307,21 @@ class TestMlqae:
         ],
     )
     def test_golden_hits(self, table_a1, seed, hits):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
-        est = mlqae_estimate(a, exponential_schedule(6), 100, seed=seed)
+        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
+        est = mlqae_estimate(p, exponential_schedule(6), 100, seed=seed)
         assert est.hits == hits
 
     def test_empty_schedule_rejected(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
+        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
         with pytest.raises(PredicateError):
-            mlqae_estimate(a, [], 10, seed=0)
+            mlqae_estimate(p, [], 10, seed=0)
 
     @pytest.mark.parametrize("shots", [0, -2])
     def test_nonpositive_shots_rejected(self, table_a1, shots):
         pred = Predicate.region2()
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, pred)
+        p = predicate_probability(build_transport_circuit(table_a1), pred)
         with pytest.raises(PredicateError):
-            mlqae_estimate(a, [0, 1], shots, seed=0)
+            mlqae_estimate(p, [0, 1], shots, seed=0)
         with pytest.raises(PredicateError):
             quantum_curve(table_a1, pred, [0, 1], shots, 3)
 

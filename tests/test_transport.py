@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -13,6 +17,7 @@ from qtransport.qae import Predicate, build_a_operator
 from qtransport.transport import (
     MOVE,
     REACT,
+    apply_transport_inplace,
     build_controlled_adder,
     build_distribution_loader,
     build_reaction_rotation,
@@ -21,7 +26,7 @@ from qtransport.transport import (
     transport_distribution,
 )
 
-from conftest import TABLE_A1_REGIONS, basis_state, random_pmf, random_problem
+from conftest import SRC, TABLE_A1_REGIONS, basis_state, random_pmf, random_problem
 
 
 class TestProblemValidation:
@@ -352,3 +357,76 @@ class TestOracleEquivalence:
             problem = random_problem(rng)
             delta = np.abs(transport_distribution(problem) - exact_distribution(problem)).max()
             assert delta < 1e-9, problem
+
+
+
+def gate_and_register_states(problem, x_state=None):
+    """Final state of the transport circuit from the gate kernel and from the
+    register-level pass, both started from |0> or from x_state on X."""
+    tc = build_transport_circuit(problem)
+    gate_level, register_level = (sim.zero_state(tc.circuit.qubit_count) for _ in range(2))
+    if x_state is not None:
+        gate_level[: len(x_state)] = register_level[: len(x_state)] = x_state
+    sim.apply_inplace(gate_level, tc.circuit)
+    apply_transport_inplace(register_level, tc)
+    return gate_level, register_level
+
+
+# every d_max entry positive, as in the benchmark's exact_wide problems
+WIDE_REGIONS = (RegionSpec((0.25, 0.35, 0.3, 0.1), 0.2), RegionSpec((0.1, 0.5, 0.3, 0.1), 0.45))
+
+
+class TestRegisterLevel:
+    @pytest.mark.parametrize("timing", ["pre_flight", "post_flight"])
+    @pytest.mark.parametrize("first_always", [True, False])
+    @pytest.mark.parametrize(
+        "shape",
+        [(4, 3, 4, TABLE_A1_REGIONS), (5, 4, 4, WIDE_REGIONS), (2, 3, 2, (RegionSpec((1.0,), 0.4),) * 2)],
+        ids=["table_a1", "exact_wide", "d_max_0"],
+    )
+    def test_full_state_matches_gate_level(self, shape, first_always, timing):
+        x_qubits, flights, boundary, regions = shape
+        problem = TransportProblem(x_qubits, flights, boundary, regions, first_always, timing)
+        want, got = gate_and_register_states(problem)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_full_state_matches_gate_level_on_random_problems(self):
+        worst = 0.0
+        for seed in range(300):
+            want, got = gate_and_register_states(random_problem(np.random.default_rng(seed)))
+            worst = max(worst, np.abs(got - want).max())
+        assert worst <= 1e-12
+
+    def test_any_x_state(self, table_a1):
+        # the pass needs |0> only on the registers other than X
+        rng = np.random.default_rng(4)
+        x_state = rng.normal(size=16) + 1j * rng.normal(size=16)
+        want, got = gate_and_register_states(table_a1, x_state / np.linalg.norm(x_state))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("qubits", [13, 15])
+    def test_wrong_length_rejected(self, table_a1, qubits):
+        tc = build_transport_circuit(table_a1)
+        state = sim.zero_state(qubits)
+        with pytest.raises(InvariantError, match="transport circuit has 14 qubits"):
+            apply_transport_inplace(state, tc)
+        np.testing.assert_array_equal(state, sim.zero_state(qubits))
+
+    def test_norm_check_raises_under_optimize(self):
+        # `python -O` strips asserts, so the check must be a raise; the
+        # pass keeps the norm of its input, here 2
+        script = textwrap.dedent("""
+            from qtransport import RegionSpec, TransportProblem, build_transport_circuit, sim
+            from qtransport.transport import apply_transport_inplace
+            spec = RegionSpec((0.5, 0.5), 0.5)
+            tc = build_transport_circuit(TransportProblem(2, 1, 2, (spec, spec)))
+            state = sim.zero_state(tc.circuit.qubit_count)
+            state[0] = 2.0
+            apply_transport_inplace(state, tc)
+        """)
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+        )
+        assert result.returncode == 1
+        assert "InvariantError: statevector norm drifted to 2.0" in result.stderr
