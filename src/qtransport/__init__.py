@@ -55,6 +55,8 @@ from .transport import (
     build_reaction_rotation,
     build_transport_circuit,
     transport_distribution,
+    transport_registers,
+    transport_widths,
 )
 
 __version__ = "0.1.0"

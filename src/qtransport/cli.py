@@ -189,7 +189,7 @@ def cmd_qae(args) -> int:
     schedule = _parse_schedule(args.schedule)
     qae.check_shots_per_power(args.shots_per_power)
     _check_seed(args.seed)
-    p = qae.predicate_probability(build_transport_circuit(problem), pred)
+    p = qae.predicate_probability(problem, pred)
     estimate = qae.mlqae_estimate(p, schedule, args.shots_per_power, args.seed)
     report = estimate.to_dict()
     report["predicate"] = str(pred)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import classical_mc, qae
 from .errors import InvariantError
-from .transport import TransportProblem, build_transport_circuit
+from .transport import TransportProblem
 
 
 def derive_seed(*parts: int) -> int:
@@ -72,7 +72,7 @@ def quantum_curve(
     if not schedule or n_seeds < 1:
         raise InvariantError("need a non-empty schedule and at least one seed")
     qae.check_shots_per_power(shots_per_power)
-    p = qae.predicate_probability(build_transport_circuit(problem), pred)
+    p = qae.predicate_probability(problem, pred)
     probs = qae.amplified_probabilities(p, schedule)
     p_true = exact_predicate_probability(problem, pred)
     shots = [shots_per_power] * len(schedule)

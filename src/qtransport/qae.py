@@ -12,9 +12,12 @@ with theta = arcsin sqrt(p). Estimation reads p from one exact pass of A
 that closed form; `build_grover_operator` is the gate-level Q the tests
 check it against.
 
-That pass writes the transport part of A at register level
-(`transport.apply_transport_inplace`) into the flag = 0 half of A's state
-and then runs the oracle's gates through `apply_inplace`.
+That pass runs on the transport circuit's support (every register but
+AncR and AncP, which end in |0>) plus the flag one past it, a quarter of
+A's 2^(n+1) amplitudes; the ceiling still counts A's qubits. It writes the
+transport part at register level (`transport.apply_transport_inplace`)
+into the flag = 0 half and then runs the predicate's gates, the same ones
+`build_flag_oracle` places past the circuit, through `apply_inplace`.
 `exact_amplitude(a)` runs the whole gate-level A and is the reference the
 tests hold it to.
 
@@ -30,14 +33,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, compose, inverse, phase_shift, x
+from .circuit import Circuit, Gate, compose, inverse, phase_shift, x
 from .errors import InvariantError, PredicateError
-from .sim import apply_inplace, flag_probability, zero_state
+from .sim import apply_inplace, check_width, flag_probability, zero_state
 from .transport import (
     TransportCircuit,
     TransportProblem,
     apply_transport_inplace,
     build_region_flag,
+    transport_registers,
+    transport_widths,
 )
 
 GEQ, EQ, REGION2 = "geq", "eq", "region2"
@@ -110,19 +115,25 @@ def _check_eq(value, width: int) -> None:
         raise PredicateError(f"eq value {value} outside the position register")
 
 
+def _predicate_gates(problem: TransportProblem, pred: Predicate, flag: int) -> tuple[Gate, ...]:
+    """Gates flipping the `flag` qubit iff the X register, on the lowest
+    qubits, satisfies the predicate."""
+    pred = _resolve_threshold(pred, problem)
+    x_register = transport_registers(problem)["X"]
+    if pred.kind == GEQ:
+        _check_geq(pred.value, len(x_register))
+        return build_region_flag(x_register, pred.value, flag).gates
+    _check_eq(pred.value, len(x_register))
+    controls = [(q, bool((pred.value >> i) & 1)) for i, q in enumerate(x_register)]
+    return (x(flag, controls),)
+
+
 def build_flag_oracle(tc: TransportCircuit, pred: Predicate) -> Circuit:
     """Circuit flipping the flag iff the X register satisfies the predicate;
     the flag is a new qubit past the transport circuit, registered as "flag"."""
-    pred = _resolve_threshold(pred, tc.problem)
-    x_register, flag = tc.x_register, tc.circuit.qubit_count
-    if pred.kind == GEQ:
-        _check_geq(pred.value, len(x_register))
-        gates = build_region_flag(x_register, pred.value, flag).gates
-    else:
-        _check_eq(pred.value, len(x_register))
-        controls = [(q, bool((pred.value >> i) & 1)) for i, q in enumerate(x_register)]
-        gates = [x(flag, controls)]
-    return Circuit(flag + 1, tuple(gates), {**tc.registers, "flag": (flag,)})
+    flag = tc.circuit.qubit_count
+    gates = _predicate_gates(tc.problem, pred, flag)
+    return Circuit(flag + 1, gates, {**tc.registers, "flag": (flag,)})
 
 
 def build_a_operator(tc: TransportCircuit, pred: Predicate) -> Circuit:
@@ -164,17 +175,23 @@ def exact_amplitude(a: Circuit) -> float:
     return flag_probability(amplitudes, flag)
 
 
-def predicate_probability(tc: TransportCircuit, pred: Predicate) -> float:
-    """Flag |1> probability of A|0> for A = build_a_operator(tc, pred).
+def predicate_probability(problem: TransportProblem, pred: Predicate) -> float:
+    """Flag |1> probability of A|0> for
+    A = build_a_operator(build_transport_circuit(problem), pred).
 
-    A's state is allocated at A's width; the transport circuit runs at
-    register level into its flag = 0 half, then the oracle's gates run.
+    The width check counts A's qubits, but the state holds only the
+    transport circuit's support plus the flag one past it: 2^(n-1)
+    amplitudes for an n-qubit transport circuit, since AncR and AncP end in
+    |0>. The register-level pass writes the flag = 0 half, then the
+    predicate's gates run on the flag past the support.
     """
-    oracle = build_flag_oracle(tc, pred)
-    amplitudes = zero_state(oracle.qubit_count)
-    apply_transport_inplace(amplitudes[: 1 << tc.circuit.qubit_count], tc)
-    apply_inplace(amplitudes, oracle)
-    return flag_probability(amplitudes, _flag(oracle))
+    n, support = transport_widths(problem)
+    gates = _predicate_gates(problem, pred, support)
+    check_width(n + 1)
+    amplitudes = zero_state(support + 1)
+    apply_transport_inplace(amplitudes[: 1 << support], problem)
+    apply_inplace(amplitudes, Circuit(support + 1, gates))
+    return flag_probability(amplitudes, support)
 
 
 def check_powers(powers) -> tuple[int, ...]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InvariantError
-from .transport import TransportProblem, build_transport_circuit
+from .transport import TransportProblem, transport_registers
 
 VARIABLES = 7
 VARIABLE_BITS = 32
@@ -65,7 +65,7 @@ def practical_estimate(n: int) -> ResourceEstimate:
 
 def circuit_budget(problem: TransportProblem) -> dict[str, int]:
     """Exact per-register qubit widths of the transport circuit, then A's flag."""
-    registers = build_transport_circuit(problem).registers
+    registers = transport_registers(problem)
     budget = {name: len(qubits) for name, qubits in registers.items()} | {"flag": 1}
     total = sum(budget.values())
     return budget | {"total_without_flag": total - budget["flag"], "total_with_flag": total}

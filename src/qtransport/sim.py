@@ -9,8 +9,11 @@ per run of untouched qubits, then fixes the control axes, so each gate
 reads and writes basic-slicing views of its controlled subspace and no
 index arrays are built. `transport.apply_transport_inplace` writes the
 transport circuit's state at register level instead, and the tests hold it
-to this kernel; both end with `check_norm`. `marginal` and
-`flag_probability` read the same layout.
+to this kernel; both end with `check_norm`. `check_width` is the ceiling
+check of `zero_state` on its own, for callers whose state is narrower than
+their circuit. `marginal`, `low_marginal` and `flag_probability` read the
+same layout; the last two square and sum a block of amplitudes at a time,
+so their scratch is one block, not a float64 copy of the state.
 
 `sample` draws shots from a probability vector sequentially and vectorized
 from a single seeded stream, so counts are bit-identical for a given seed
@@ -28,6 +31,7 @@ from .errors import CapacityError, InvariantError
 DEFAULT_MAX_QUBITS = 26
 MAX_QUBITS_ENV = "QTRANSPORT_MAX_QUBITS"
 _SHORT_RUN = 8
+_BLOCK = 1 << 16  # amplitudes squared at a time by the blocked readers
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -45,14 +49,21 @@ def engine_max_qubits() -> int:
     return ceiling
 
 
-def zero_state(n: int) -> np.ndarray:
-    """|0...0> as 2^n complex128 amplitudes; rejects n outside [1, engine
-    ceiling], and raises CapacityError if the allocation is refused."""
+def check_width(n: int) -> None:
+    """Reject an n-qubit circuit outside [1, engine ceiling]: InvariantError
+    below one qubit, CapacityError past the ceiling. Callers whose state is
+    narrower than their circuit check the circuit's width with it first."""
     if n < 1:
         raise InvariantError("need at least one qubit")
     ceiling = engine_max_qubits()
     if n > ceiling:
         raise CapacityError(f"{n} qubits exceeds the configured ceiling of {ceiling}")
+
+
+def zero_state(n: int) -> np.ndarray:
+    """|0...0> as 2^n complex128 amplitudes; rejects n as `check_width`
+    does, and raises CapacityError if the allocation is refused."""
+    check_width(n)
     try:
         amplitudes = np.zeros(1 << n, dtype=np.complex128)
     except MemoryError:
@@ -168,12 +179,41 @@ def marginal(amplitudes: np.ndarray, qubits) -> np.ndarray:
     return np.einsum(probs, list(range(probs.ndim)), [axis[q] for q in reversed(qubits)]).ravel()
 
 
+def _squares(amplitudes: np.ndarray) -> np.ndarray:
+    squares = np.abs(amplitudes)
+    return np.square(squares, out=squares)
+
+
+def low_marginal(amplitudes: np.ndarray, width: int) -> np.ndarray:
+    """Probability of each integer value of the register on the lowest
+    `width` qubits, as `marginal` gives it for qubits (0, ..., width-1).
+
+    The rows of the (-1, 2^width) view are squared and summed a block of
+    2^16 amplitudes (or one row, if longer) at a time, so the scratch is one
+    block, not a float64 copy of the state.
+    """
+    rows = amplitudes.reshape(-1, 1 << width)
+    step = max(1, _BLOCK >> width)
+    probs = np.zeros(rows.shape[1])
+    for start in range(0, len(rows), step):
+        probs += _squares(rows[start : start + step]).sum(axis=0)
+    return probs
+
+
 def flag_probability(amplitudes: np.ndarray, qubit: int) -> float:
-    """Probability that the given qubit reads |1>."""
+    """Probability that the given qubit reads |1>, summed over consecutive
+    blocks of 2^16 amplitudes, so the scratch is one block."""
     if not 0 <= qubit < len(amplitudes).bit_length() - 1:
         raise InvariantError(f"qubit {qubit} out of range")
-    view, axis = _split(amplitudes, (qubit,))
-    return float(np.sum(np.abs(_fixed(view, axis, [(qubit, 1)])) ** 2))
+    low = 1 << qubit
+    total = 0.0
+    for start in range(0, len(amplitudes), _BLOCK):
+        block = amplitudes[start : start + _BLOCK]
+        if low < len(block):  # the block holds whole (qubit = 0, qubit = 1) pairs
+            total += _squares(block.reshape(-1, 2, low)[:, 1]).sum()
+        elif start & low:  # the block lies inside the qubit = 1 half of a pair
+            total += _squares(block).sum()
+    return float(total)
 
 
 def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:

@@ -26,11 +26,17 @@ The circuit has no amplitude-estimation flag: `qae` adds one when it builds
 the A operator on top of it.
 
 The gate list from `build_transport_circuit` is the only definition of the
-circuit. `apply_transport_inplace` computes the same final state at
-register level, one array operation per gadget instead of one pass over
-the state per gate (~50 per flight); `transport_distribution` (and so
-`exact`, `mc --mode circuit`) and `qae.predicate_probability` use it, and
-the tests hold it to `sim.apply_inplace` on the gate-level circuit.
+circuit, placed on the registers of `transport_registers`.
+`apply_transport_inplace` computes the same final state at register level,
+one array operation per gadget instead of one pass over the state per gate
+(~50 per flight). It reads only the layout, builds no gates, and writes
+only the support: AncR and AncP end every flight in |0>, so the state
+lives on X, D_m and R_m, a quarter of the circuit's 2^n amplitudes.
+`transport_distribution` (and so `exact`, `mc --mode circuit`) and
+`qae.predicate_probability` use it; both check the ceiling against the
+circuit's width (A's, for `qae`) before they allocate the smaller array. The tests hold the
+pass to `sim.apply_inplace` on the gate-level circuit, with the support
+embedded in a zero full state.
 """
 from __future__ import annotations
 
@@ -298,42 +304,62 @@ class TransportCircuit:
         return self.registers[f"R{flight}"][0]
 
 
+def transport_registers(problem: TransportProblem) -> dict[str, tuple[int, ...]]:
+    """Register layout of the transport circuit, LSB-first within each
+    register: X, then Anc.R, then per flight D_m (and R_m when the flight is
+    gated), then Anc.P. D_m is empty when d_max is 0."""
+    w, dw = problem.x_qubits, problem.d_width
+    registers: dict[str, tuple[int, ...]] = {"X": tuple(range(w)), "AncR": (w,)}
+    cursor = w + 1
+    for m in range(1, problem.max_flights + 1):
+        registers[f"D{m}"] = tuple(range(cursor, cursor + dw))
+        cursor += dw
+        if problem.has_reaction(m):
+            registers[f"R{m}"] = (cursor,)
+            cursor += 1
+    registers["AncP"] = (cursor,)
+    return registers
+
+
+# every flight returns these to |0>, so the state's support leaves them out
+_ANCILLAE = ("AncR", "AncP")
+
+
+def transport_widths(problem: TransportProblem) -> tuple[int, int]:
+    """Qubits of the transport circuit and of its support, the registers
+    other than AncR and AncP (see `apply_transport_inplace`)."""
+    registers = transport_registers(problem)
+    n = sum(len(qubits) for qubits in registers.values())
+    return n, n - sum(len(registers[name]) for name in _ANCILLAE)
+
+
 def build_transport_circuit(problem: TransportProblem) -> TransportCircuit:
     """Assemble the full flight-by-flight circuit for a problem from the
-    gates of the four gadget builders above, which are their only definition.
-
-    Register layout (LSB-first within each register): X, then Anc.R, then
-    per flight D_m (and R_m when the flight is gated), then Anc.P.
+    gates of the four gadget builders above, which are their only definition,
+    on the registers of `transport_registers`.
     """
-    w, dw = problem.x_qubits, problem.d_width
-    x_register, anc_r = tuple(range(w)), w
-    flights = range(1, problem.max_flights + 1)
-    anc_p = w + 1 + sum(dw + problem.has_reaction(m) for m in flights)
-    registers: dict[str, tuple[int, ...]] = {"X": x_register, "AncR": (anc_r,)}
+    registers = transport_registers(problem)
+    x_register, (anc_r,), (anc_p,) = registers["X"], registers["AncR"], registers["AncP"]
     comparator = build_region_flag(x_register, problem.boundary, anc_r)
     uncompare = inverse(comparator).gates
     gating: list[int] = []  # the reaction qubits so far
     gates: list[Gate] = []
-    cursor = w + 1
-    for m in flights:
-        d_register = registers[f"D{m}"] = tuple(range(cursor, cursor + dw))
-        cursor += dw
+    for m in range(1, problem.max_flights + 1):
+        d_register = registers[f"D{m}"]
         gates.extend(comparator.gates)
         for polarity, spec in ((True, problem.regions[1]), (False, problem.regions[0])):
             loader = build_distribution_loader(spec.distance_pmf, d_register)
             gates.extend(add_controls(loader, [(anc_r, polarity)]).gates)
         if problem.has_reaction(m):
-            registers[f"R{m}"] = (cursor,)
-            gating.append(cursor)
-            gates.extend(build_reaction_rotation(problem.regions, anc_r, cursor).gates)
-            cursor += 1
+            (r_qubit,) = registers[f"R{m}"]
+            gating.append(r_qubit)
+            gates.extend(build_reaction_rotation(problem.regions, anc_r, r_qubit).gates)
         gates.extend(uncompare)
-        if dw == 0:
+        if not d_register:
             continue  # no motion to gate
         progress = [mct(gating, anc_p)] if gating else []
         adder = build_controlled_adder(x_register, d_register, anc_p if gating else None)
         gates.extend(progress + list(adder.gates) + progress)
-    registers["AncP"] = (anc_p,)
     circuit = Circuit(anc_p + 1, tuple(gates), registers)
     return TransportCircuit(circuit, problem)
 
@@ -360,13 +386,17 @@ def _reaction_amplitudes(regions) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def apply_transport_inplace(amplitudes: np.ndarray, tc: TransportCircuit) -> None:
-    """Write the final state of the transport circuit into amplitudes that
-    hold |0> on every register but X, one array operation per gadget.
+def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -> None:
+    """Write the final state of the transport circuit, restricted to its
+    support, into amplitudes that hold |0> on every register but X, one
+    array operation per gadget.
 
-    The array is viewed with one axis per register of `tc.registers`, and
-    flight m writes only the block where AncR, AncP and every later
-    register are still |0>:
+    Every comparator and every progress AND is uncomputed within its
+    flight, so AncR and AncP end in |0> and the state lives on the support:
+    the registers X, D_m and R_m of `transport_registers`, in that order
+    with X on the lowest qubits, 2^(n-2) amplitudes for n circuit qubits.
+    The array is viewed with one axis per support register, and flight m
+    writes only the block where every later register is still |0>:
       - comparator and AncP: each compute/uncompute pair cancels, so the
         region is a boolean mask over X and the AND is "every gated R_j
         so far is 1";
@@ -377,17 +407,20 @@ def apply_transport_inplace(amplitudes: np.ndarray, tc: TransportCircuit) -> Non
       - adder: on the slab where D_m = d >= 1 and every gated R_j is 1,
         a cyclic shift of X by d, which is the modular add exactly.
 
-    `tc.circuit` is the definition this pass must reproduce; the tests
-    compare the two on full states. Raises InvariantError if the array does
-    not hold 2^n amplitudes for the circuit's n qubits, or if the result's
-    norm is not 1.
+    `build_transport_circuit` is the definition this pass must reproduce;
+    the tests compare the two on full states. Raises InvariantError if the
+    array does not hold 2^(n-2) amplitudes, or if the result's norm is not 1.
     """
-    problem, registers = tc.problem, tc.registers
-    n = tc.circuit.qubit_count
-    if len(amplitudes) != 1 << n:
+    n, support = transport_widths(problem)
+    if len(amplitudes) != 1 << support:
         raise InvariantError(
-            f"transport circuit has {n} qubits, state has {len(amplitudes)} amplitudes"
+            f"transport circuit has {n} qubits, so its support needs {1 << support} "
+            f"amplitudes; state has {len(amplitudes)}"
         )
+    registers = {
+        name: qubits for name, qubits in transport_registers(problem).items()
+        if name not in _ANCILLAE
+    }
     # registers sit on consecutive qubits in insertion order; in C order the
     # register on the highest qubits varies slowest
     names = tuple(reversed(registers))
@@ -422,8 +455,14 @@ def apply_transport_inplace(amplitudes: np.ndarray, tc: TransportCircuit) -> Non
 
 
 def transport_distribution(problem: TransportProblem) -> np.ndarray:
-    """Final-position probabilities read from the statevector's X marginal."""
-    tc = build_transport_circuit(problem)
-    amplitudes = sim.zero_state(tc.circuit.qubit_count)
-    apply_transport_inplace(amplitudes, tc)
-    return sim.marginal(amplitudes, tc.x_register)
+    """Final-position probabilities: the X marginal of the support state.
+
+    The width check counts the circuit's qubits before the smaller support
+    array is allocated, and the marginal is summed a block of rows at a
+    time, so the only state-sized array is the support itself.
+    """
+    n, support = transport_widths(problem)
+    sim.check_width(n)
+    amplitudes = sim.zero_state(support)
+    apply_transport_inplace(amplitudes, problem)
+    return sim.low_marginal(amplitudes, problem.x_qubits)

@@ -76,6 +76,23 @@ def random_problem(rng: np.random.Generator, max_total_qubits: int = 16) -> Tran
         )
 
 
+def support_slice(full: np.ndarray, tc) -> np.ndarray:
+    """View of a full transport-circuit state where AncR = AncP = 0, one row
+    per value of the support's other registers and one column per position,
+    in the support's order: AncR sits just above X and AncP on the top qubit."""
+    assert tc.anc_r_qubit == len(tc.x_register)
+    assert tc.anc_p_qubit == tc.circuit.qubit_count - 1
+    return full.reshape(2, -1, 2, 1 << tc.anc_r_qubit)[0, :, 0]
+
+
+def embed_support(support: np.ndarray, tc) -> np.ndarray:
+    """The full state whose AncR = AncP = 0 slice is `support`, zero elsewhere."""
+    full = np.zeros(1 << tc.circuit.qubit_count, dtype=np.complex128)
+    view = support_slice(full, tc)
+    view[...] = support.reshape(view.shape)
+    return full
+
+
 def simulated_grover_probabilities(a, powers) -> np.ndarray:
     """Flag |1> probability after Q^m A|0> for each power m, by applying the
     gate-level Grover operator m times: the reference for the closed form."""

@@ -332,6 +332,25 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: 29 qubits exceeds the configured ceiling of 26\n"
         assert peak < 16 << 20
 
+    def test_qae_past_ceiling_exits_4_before_allocating(self, tmp_path, monkeypatch, capsys):
+        # x_qubits 7 and 6 flights make a 26-qubit circuit, which `exact`
+        # runs; A is one qubit wider, so `qae` stops at the width check
+        def fail(*args, **kwargs):
+            raise AssertionError("ran the transport pass past the ceiling")
+
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=7, max_flights=6)))
+        monkeypatch.delenv("QTRANSPORT_MAX_QUBITS", raising=False)
+        monkeypatch.setattr(qae, "apply_transport_inplace", fail)
+        tracemalloc.start()
+        try:
+            assert main(["qae", "-p", str(path), "--predicate", "region2"]) == 4
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().err == "error: 27 qubits exceeds the configured ceiling of 26\n"
+        assert peak < 16 << 20
+
     def test_bad_predicate_is_5(self, table_a1_path):
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "geq:3").returncode == 5
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "near:4").returncode == 5
@@ -595,7 +614,7 @@ class TestQae:
         def fail(*args, **kwargs):
             raise AssertionError("ran before the schedule was checked")
 
-        monkeypatch.setattr(cli, "build_transport_circuit", fail)
+        monkeypatch.setattr(qae, "predicate_probability", fail)
         args = ["qae", "-p", table_a1_path, "--predicate", "region2", "--schedule", schedule]
         assert main(args) == 5
 
@@ -608,7 +627,7 @@ class TestQae:
         def fail(*args, **kwargs):
             raise AssertionError("ran before the seed was checked")
 
-        monkeypatch.setattr(cli, "build_transport_circuit", fail)
+        monkeypatch.setattr(qae, "predicate_probability", fail)
         args = ["qae", "-p", table_a1_path, "--predicate", "region2", "--seed", "-1"]
         assert main(args) == 3
         assert "seed must be >= 0" in capsys.readouterr().err
@@ -619,7 +638,7 @@ class TestQae:
             raise AssertionError("ran before the schedule was checked")
 
         monkeypatch.setattr(convergence, "classical_curve", fail)
-        monkeypatch.setattr(cli, "build_transport_circuit", fail)
+        monkeypatch.setattr(qae, "predicate_probability", fail)
         args = [command, "-p", table_a1_path, "--predicate", "region2", "--schedule", "0,-1"]
         assert main(args) == 5
 
@@ -632,7 +651,7 @@ class TestQae:
             raise AssertionError("ran before the shot count was checked")
 
         monkeypatch.setattr(convergence, "classical_curve", fail)
-        monkeypatch.setattr(cli, "build_transport_circuit", fail)
+        monkeypatch.setattr(qae, "predicate_probability", fail)
         args = [command, "-p", table_a1_path, "--predicate", "region2", "--shots-per-power", shots]
         assert main(args) == 5
         assert "shots_per_power must be >= 1" in capsys.readouterr().err

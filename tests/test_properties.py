@@ -25,7 +25,7 @@ from qtransport.transport import (
     transport_distribution,
 )
 
-from conftest import random_problem
+from conftest import embed_support, random_problem, support_slice
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=20)
 
@@ -63,19 +63,35 @@ def test_flag_probability_is_predicate_mass(seed, kind, v):
 def test_register_level_flag_probability_matches_gate_level(seed, kind, v):
     problem = draw_problem(seed)
     pred = draw_predicate(kind, v, problem)
-    tc = build_transport_circuit(problem)
-    want = exact_amplitude(build_a_operator(tc, pred))
-    assert abs(predicate_probability(tc, pred) - want) <= 1e-12
+    want = exact_amplitude(build_a_operator(build_transport_circuit(problem), pred))
+    assert abs(predicate_probability(problem, pred) - want) <= 1e-12
 
 
 @DETERMINISTIC
 @given(seed=problem_seeds)
 def test_register_level_state_matches_gate_level(seed):
-    tc = build_transport_circuit(draw_problem(seed))
-    want, got = zero_state(tc.circuit.qubit_count), zero_state(tc.circuit.qubit_count)
+    problem = draw_problem(seed)
+    tc = build_transport_circuit(problem)
+    want, support = zero_state(tc.circuit.qubit_count), zero_state(tc.circuit.qubit_count - 2)
     apply_inplace(want, tc.circuit)
-    apply_transport_inplace(got, tc)
-    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    apply_transport_inplace(support, problem)
+    np.testing.assert_allclose(embed_support(support, tc), want, rtol=0, atol=1e-12)
+
+
+@DETERMINISTIC
+@given(seed=problem_seeds)
+def test_gate_level_state_lives_on_the_support(seed):
+    # every flight uncomputes AncR and AncP, so the gate-level state is the
+    # register-level support on AncR = AncP = 0 and nothing elsewhere
+    problem = draw_problem(seed)
+    tc = build_transport_circuit(problem)
+    full, support = zero_state(tc.circuit.qubit_count), zero_state(tc.circuit.qubit_count - 2)
+    apply_inplace(full, tc.circuit)
+    apply_transport_inplace(support, problem)
+    inside = support_slice(full, tc)
+    np.testing.assert_allclose(inside, support.reshape(inside.shape), rtol=0, atol=1e-12)
+    inside[...] = 0.0
+    assert np.abs(full).max() <= 1e-12
 
 
 @DETERMINISTIC

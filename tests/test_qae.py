@@ -112,22 +112,23 @@ class TestPredicateProbability:
     """The register-level A pass against the gate-level A."""
 
     @staticmethod
-    def assert_matches_gate_level(tc, preds):
+    def assert_matches_gate_level(problem, preds):
+        tc = build_transport_circuit(problem)
         for pred in preds:
             want = exact_amplitude(build_a_operator(tc, pred))
-            assert abs(predicate_probability(tc, pred) - want) <= 1e-12, pred
+            assert abs(predicate_probability(problem, pred) - want) <= 1e-12, pred
 
     def test_table_a1(self, table_a1):
         preds = [Predicate.region2()] + [Predicate.geq(1 << k) for k in range(4)]
         preds += [Predicate.eq(v) for v in range(16)]
-        self.assert_matches_gate_level(build_transport_circuit(table_a1), preds)
+        self.assert_matches_gate_level(table_a1, preds)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_random_problems(self, seed):
         problem = random_problem(np.random.default_rng(3000 + seed))
         v = seed % problem.position_count
         preds = Predicate.region2(), Predicate.geq(problem.boundary), Predicate.eq(v)
-        self.assert_matches_gate_level(build_transport_circuit(problem), preds)
+        self.assert_matches_gate_level(problem, preds)
 
     def test_state_has_the_width_of_a(self, table_a1, monkeypatch):
         # the transport circuit fits a 14-qubit ceiling; A needs 15
@@ -135,7 +136,7 @@ class TestPredicateProbability:
         tc = build_transport_circuit(table_a1)
         sim.zero_state(tc.circuit.qubit_count)
         with pytest.raises(CapacityError, match="15 qubits exceeds the configured ceiling of 14"):
-            predicate_probability(tc, Predicate.region2())
+            predicate_probability(table_a1, Predicate.region2())
 
 
 class TestFlagLocation:
@@ -227,7 +228,7 @@ class TestAmplifiedProbabilities:
     def test_negative_power_rejected(self, table_a1):
         with pytest.raises(PredicateError):
             amplified_probabilities(0.3, [0, -1])
-        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
+        p = predicate_probability(table_a1, Predicate.region2())
         with pytest.raises(PredicateError):
             mlqae_estimate(p, [1, -2], 10, seed=0)
 
@@ -239,25 +240,25 @@ class TestAmplifiedProbabilities:
 
 class TestMlqae:
     def test_power_zero_schedule_recovers_sample_mean(self, table_a1):
-        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
+        p = predicate_probability(table_a1, Predicate.region2())
         est = mlqae_estimate(p, [0], shots_per_power=1_000_000, seed=3)
         assert est.exact_p == p
         assert abs(est.p_hat - est.hits[0] / 1_000_000) < 1e-6
         assert abs(est.p_hat - p) < 4 * math.sqrt(p * (1 - p) / 1_000_000)
 
     def test_zero_amplitude_estimates_zero(self, table_a1):
-        p = predicate_probability(build_transport_circuit(table_a1), Predicate.eq(15))
+        p = predicate_probability(table_a1, Predicate.eq(15))
         for seed in (0, 1, 2):
             est = mlqae_estimate(p, exponential_schedule(3), 50, seed=seed)
             assert est.p_hat == 0.0
 
     def test_certain_amplitude_estimates_one(self):
-        p = predicate_probability(build_transport_circuit(no_motion_problem()), Predicate.eq(0))
+        p = predicate_probability(no_motion_problem(), Predicate.eq(0))
         est = mlqae_estimate(p, [0, 1, 2], 50, seed=5)
         assert est.p_hat == 1.0
 
     def test_oracle_call_accounting(self, table_a1):
-        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
+        p = predicate_probability(table_a1, Predicate.region2())
         schedule = exponential_schedule(4)
         est = mlqae_estimate(p, schedule, 25, seed=1)
         assert est.total_oracle_calls == sum(25 * (2 * m + 1) for m in schedule)
@@ -290,7 +291,7 @@ class TestMlqae:
         assert abs(got - theta) < 1e-6
 
     def test_deterministic_per_seed(self, table_a1):
-        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
+        p = predicate_probability(table_a1, Predicate.region2())
         est1 = mlqae_estimate(p, [0, 1, 2], 40, seed=11)
         est2 = mlqae_estimate(p, [0, 1, 2], 40, seed=11)
         assert est1.p_hat == est2.p_hat and est1.hits == est2.hits
@@ -307,19 +308,19 @@ class TestMlqae:
         ],
     )
     def test_golden_hits(self, table_a1, seed, hits):
-        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
+        p = predicate_probability(table_a1, Predicate.region2())
         est = mlqae_estimate(p, exponential_schedule(6), 100, seed=seed)
         assert est.hits == hits
 
     def test_empty_schedule_rejected(self, table_a1):
-        p = predicate_probability(build_transport_circuit(table_a1), Predicate.region2())
+        p = predicate_probability(table_a1, Predicate.region2())
         with pytest.raises(PredicateError):
             mlqae_estimate(p, [], 10, seed=0)
 
     @pytest.mark.parametrize("shots", [0, -2])
     def test_nonpositive_shots_rejected(self, table_a1, shots):
         pred = Predicate.region2()
-        p = predicate_probability(build_transport_circuit(table_a1), pred)
+        p = predicate_probability(table_a1, pred)
         with pytest.raises(PredicateError):
             mlqae_estimate(p, [0, 1], shots, seed=0)
         with pytest.raises(PredicateError):

@@ -9,6 +9,7 @@ from qtransport.sim import (
     MAX_QUBITS_ENV,
     apply_inplace,
     flag_probability,
+    low_marginal,
     marginal,
     sample,
     zero_state,
@@ -231,6 +232,32 @@ class TestMarginal:
         np.testing.assert_array_equal(state, before)
 
 
+def random_state(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    state = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+    return state / np.linalg.norm(state)
+
+
+class TestLowMarginal:
+    # 18 qubits is four blocks of 2^16 amplitudes; a 17-qubit register has
+    # rows longer than a block
+    @pytest.mark.parametrize("width", [1, 3, 16, 17, 18])
+    def test_matches_marginal(self, width):
+        state = random_state(18, width)
+        want = marginal(state, tuple(range(width)))
+        np.testing.assert_allclose(low_marginal(state, width), want, rtol=1e-12, atol=0)
+
+    def test_single_block_is_bitwise_marginal(self):
+        state = random_state(12, 5)
+        assert low_marginal(state, 4).tobytes() == marginal(state, (0, 1, 2, 3)).tobytes()
+
+    def test_state_left_untouched(self):
+        state = random_state(18, 7)
+        before = state.copy()
+        low_marginal(state, 5)
+        np.testing.assert_array_equal(state, before)
+
+
 class TestFlagProbability:
     def test_zero_state(self):
         assert flag_probability(zero_state(3), 1) == 0.0
@@ -248,6 +275,14 @@ class TestFlagProbability:
     def test_out_of_range(self):
         with pytest.raises(InvariantError):
             flag_probability(zero_state(2), 2)
+
+    # qubits below, at and above the 2^16-amplitude block of an 18-qubit state
+    @pytest.mark.parametrize("qubit", [0, 5, 15, 16, 17])
+    def test_blocked_sum_matches_direct_sum(self, qubit):
+        state = random_state(18, qubit)
+        bits = (np.arange(len(state)) >> qubit) & 1
+        want = np.sum(np.abs(state[bits == 1]) ** 2)
+        assert abs(flag_probability(state, qubit) - want) <= 1e-12
 
 
 class TestSample:

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,9 +25,17 @@ from qtransport.transport import (
     build_region_flag,
     build_transport_circuit,
     transport_distribution,
+    transport_registers,
 )
 
-from conftest import SRC, TABLE_A1_REGIONS, basis_state, random_pmf, random_problem
+from conftest import (
+    SRC,
+    TABLE_A1_REGIONS,
+    basis_state,
+    embed_support,
+    random_pmf,
+    random_problem,
+)
 
 
 class TestProblemValidation:
@@ -271,6 +280,19 @@ class TestTransportCircuit:
         }
         assert tc.circuit.qubit_count == 14
 
+    @pytest.mark.parametrize("timing", ["pre_flight", "post_flight"])
+    @pytest.mark.parametrize("first_always", [True, False])
+    def test_layout_is_the_built_registers(self, table_a1, first_always, timing):
+        # same names, qubits and order, so `resources --problem` prints the
+        # same JSON from the layout as from the built circuit
+        problems = [table_a1] + [random_problem(np.random.default_rng(s)) for s in range(300)]
+        for problem in problems:
+            problem = dataclasses.replace(
+                problem, first_flight_always=first_always, reaction_timing=timing
+            )
+            built = build_transport_circuit(problem).registers
+            assert list(transport_registers(problem).items()) == list(built.items()), problem
+
     def test_flag_untouched(self, table_a1):
         # A adds the flag one past the transport qubits; only the oracle's
         # gates, which follow the transport gates, touch it
@@ -362,14 +384,16 @@ class TestOracleEquivalence:
 
 def gate_and_register_states(problem, x_state=None):
     """Final state of the transport circuit from the gate kernel and from the
-    register-level pass, both started from |0> or from x_state on X."""
+    register-level pass, both started from |0> or from x_state on X; the
+    register-level support is embedded in a full state that is zero off it."""
     tc = build_transport_circuit(problem)
-    gate_level, register_level = (sim.zero_state(tc.circuit.qubit_count) for _ in range(2))
+    gate_level = sim.zero_state(tc.circuit.qubit_count)
+    support = sim.zero_state(tc.circuit.qubit_count - 2)
     if x_state is not None:
-        gate_level[: len(x_state)] = register_level[: len(x_state)] = x_state
+        gate_level[: len(x_state)] = support[: len(x_state)] = x_state
     sim.apply_inplace(gate_level, tc.circuit)
-    apply_transport_inplace(register_level, tc)
-    return gate_level, register_level
+    apply_transport_inplace(support, problem)
+    return gate_level, embed_support(support, tc)
 
 
 # every d_max entry positive, as in the benchmark's exact_wide problems
@@ -404,25 +428,39 @@ class TestRegisterLevel:
         want, got = gate_and_register_states(table_a1, x_state / np.linalg.norm(x_state))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("qubits", [13, 15])
+    # the support of the 14-qubit circuit is 12 qubits, so a full state is
+    # rejected too
+    @pytest.mark.parametrize("qubits", [11, 13, 14, 15])
     def test_wrong_length_rejected(self, table_a1, qubits):
-        tc = build_transport_circuit(table_a1)
         state = sim.zero_state(qubits)
         with pytest.raises(InvariantError, match="transport circuit has 14 qubits"):
-            apply_transport_inplace(state, tc)
+            apply_transport_inplace(state, table_a1)
         np.testing.assert_array_equal(state, sim.zero_state(qubits))
+
+    def test_distribution_peak_is_the_support(self):
+        # x_qubits 6, 5 flights: a 22-qubit circuit whose 20-qubit support
+        # is 16 MiB; the blocked marginal adds one block, not a float64 copy
+        problem = TransportProblem(6, 5, 4, TABLE_A1_REGIONS)
+        assert sum(map(len, transport_registers(problem).values())) == 22
+        tracemalloc.start()
+        try:
+            transport_distribution(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (16 << 20)
 
     def test_norm_check_raises_under_optimize(self):
         # `python -O` strips asserts, so the check must be a raise; the
         # pass keeps the norm of its input, here 2
         script = textwrap.dedent("""
-            from qtransport import RegionSpec, TransportProblem, build_transport_circuit, sim
-            from qtransport.transport import apply_transport_inplace
+            from qtransport import RegionSpec, TransportProblem, sim
+            from qtransport.transport import apply_transport_inplace, transport_widths
             spec = RegionSpec((0.5, 0.5), 0.5)
-            tc = build_transport_circuit(TransportProblem(2, 1, 2, (spec, spec)))
-            state = sim.zero_state(tc.circuit.qubit_count)
+            problem = TransportProblem(2, 1, 2, (spec, spec))
+            state = sim.zero_state(transport_widths(problem)[1])
             state[0] = 2.0
-            apply_transport_inplace(state, tc)
+            apply_transport_inplace(state, problem)
         """)
         result = subprocess.run(
             [sys.executable, "-O", "-c", script],
