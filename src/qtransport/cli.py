@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -237,7 +238,9 @@ def cmd_dump_circuit(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="qtransport",
         description="Simplified radiation-transport quantum-circuit toolkit",

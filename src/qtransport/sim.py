@@ -30,7 +30,6 @@ from .errors import CapacityError, InvariantError
 
 DEFAULT_MAX_QUBITS = 26
 MAX_QUBITS_ENV = "QTRANSPORT_MAX_QUBITS"
-_SHORT_RUN = 8
 _BLOCK = 1 << 16  # amplitudes squared at a time by the blocked readers
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
@@ -96,18 +95,12 @@ def _split(amplitudes: np.ndarray, qubits) -> tuple[np.ndarray, dict[int, int]]:
 def _fixed(view: np.ndarray, axis: dict[int, int], bits) -> np.ndarray:
     """Basic-slicing view of `view` with each (qubit, bit) pair held fixed.
 
-    The trailing Ellipsis keeps a fully fixed selection a 0-d view. Below
-    _SHORT_RUN numpy's per-inner-loop cost dominates, so a short last axis
-    is swapped with the longest; the kernel's ufuncs use order="C" so that
-    the iteration follows it.
+    The trailing Ellipsis keeps a fully fixed selection a 0-d view.
     """
     index: list = [slice(None)] * view.ndim
     for q, bit in bits:
         index[axis[q]] = bit
-    part = view[(*index, ...)]
-    if part.ndim > 1 and part.shape[-1] < _SHORT_RUN:
-        part = part.swapaxes(part.shape.index(max(part.shape)), -1)
-    return part
+    return view[(*index, ...)]
 
 
 def _apply_gate(amplitudes: np.ndarray, gate: Gate) -> None:
@@ -119,23 +112,23 @@ def _apply_gate(amplitudes: np.ndarray, gate: Gate) -> None:
     a1 = _fixed(view, axis, controls + [(gate.targets[0], 1)])
     kind = gate.kind
     if kind is GateKind.PHASE_SHIFT:
-        np.multiply(a1, np.exp(1j * gate.angle), out=a1, order="C")
+        np.multiply(a1, np.exp(1j * gate.angle), out=a1)
     elif kind is GateKind.PAULI_X:
         held = a0.copy()
         np.copyto(a0, a1)
         np.copyto(a1, held)
     elif kind is GateKind.HADAMARD:
-        held = np.subtract(a0, a1, order="C")
-        np.add(a0, a1, out=a0, order="C")
-        np.multiply(a0, _INV_SQRT2, out=a0, order="C")
-        np.multiply(held, _INV_SQRT2, out=a1, order="C")
+        held = np.subtract(a0, a1)
+        np.add(a0, a1, out=a0)
+        np.multiply(a0, _INV_SQRT2, out=a0)
+        np.multiply(held, _INV_SQRT2, out=a1)
     else:
         c, s = np.cos(gate.angle / 2.0), np.sin(gate.angle / 2.0)
-        held = np.multiply(a0, s, order="C")
-        np.multiply(a0, c, out=a0, order="C")
-        np.subtract(a0, np.multiply(a1, s, order="C"), out=a0, order="C")
-        np.multiply(a1, c, out=a1, order="C")
-        np.add(a1, held, out=a1, order="C")
+        held = np.multiply(a0, s)
+        np.multiply(a0, c, out=a0)
+        np.subtract(a0, np.multiply(a1, s), out=a0)
+        np.multiply(a1, c, out=a1)
+        np.add(a1, held, out=a1)
 
 
 def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
@@ -189,14 +182,16 @@ def low_marginal(amplitudes: np.ndarray, width: int) -> np.ndarray:
     `width` qubits, as `marginal` gives it for qubits (0, ..., width-1).
 
     The rows of the (-1, 2^width) view are squared and summed a block of
-    2^16 amplitudes (or one row, if longer) at a time, so the scratch is one
-    block, not a float64 copy of the state.
+    2^16 amplitudes at a time (a row longer than that in pieces of a
+    block), so the scratch is one block, not a float64 copy of the state.
     """
     rows = amplitudes.reshape(-1, 1 << width)
     step = max(1, _BLOCK >> width)
     probs = np.zeros(rows.shape[1])
     for start in range(0, len(rows), step):
-        probs += _squares(rows[start : start + step]).sum(axis=0)
+        block = rows[start : start + step]
+        for col in range(0, rows.shape[1], _BLOCK):
+            probs[col : col + _BLOCK] += _squares(block[:, col : col + _BLOCK]).sum(axis=0)
     return probs
 
 

@@ -406,6 +406,9 @@ def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -
         `build_reaction_rotation` supply the amplitudes;
       - adder: on the slab where D_m = d >= 1 and every gated R_j is 1,
         a cyclic shift of X by d, which is the modular add exactly.
+    Both write in place: the loader multiplies each region's X range by
+    its scalar, and the shift moves a block at a time (`_roll_x`), so the
+    scratch is one block of sim._BLOCK amplitudes, not a copy of a slab.
 
     `build_transport_circuit` is the definition this pass must reproduce;
     the tests compare the two on full states. Raises InvariantError if the
@@ -429,7 +432,7 @@ def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -
     def part(values: dict) -> np.ndarray:
         return state[tuple(values.get(name, slice(None)) for name in names)]
 
-    in_region2 = np.arange(problem.position_count) >= problem.boundary
+    boundary = problem.boundary  # region 1 is X < boundary, region 2 the rest
     load = [_loaded_amplitudes(spec.distance_pmf, problem.d_width) for spec in problem.regions]
     react = _reaction_amplitudes(problem.regions)
     no_reaction = (np.ones(1), np.ones(1))  # r = 0 only; the flight has no R axis
@@ -443,15 +446,47 @@ def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -
             gating[r_name] = 1
         reaction = react if problem.has_reaction(m) else no_reaction
         old = part({**at_zero, d_name: 0, r_name: 0})
+        old1, old2 = old[..., :boundary], old[..., boundary:]
         for r in reversed(range(len(reaction[0]))):
             for d in reversed(range(len(load[0]))):
                 region1, region2 = (load[k][d] * reaction[k][r] for k in (0, 1))
-                factor = np.where(in_region2, region2, region1)
-                np.multiply(old, factor, out=part({**at_zero, d_name: d, r_name: r}))
+                new = part({**at_zero, d_name: d, r_name: r})
+                np.multiply(old1, region1, out=new[..., :boundary])
+                np.multiply(old2, region2, out=new[..., boundary:])
         for d in range(1, len(load[0])):
-            slab = part({**at_zero, **gating, d_name: d})
-            slab[...] = np.roll(slab, d, axis=-1)
+            _roll_x(part({**at_zero, **gating, d_name: d}), d)
     sim.check_norm(amplitudes)
+
+
+def _roll_x(slab: np.ndarray, d: int) -> None:
+    """np.roll(slab, d, axis=-1) in place, a block of rows at a time, so the
+    scratch is at most one block of sim._BLOCK amplitudes.
+
+    Rows of at most a block are grouped by splitting the leading axes, so
+    each group is one block. A longer row saves its last d amplitudes (at
+    most a block per pass), moves the rest up in place and puts them in
+    front.
+    """
+    shape = slab.shape
+    if slab.size <= sim._BLOCK:
+        slab[...] = np.roll(slab, d, axis=-1)
+    elif shape[-1] > sim._BLOCK:
+        for row in np.ndindex(shape[:-1]):
+            line = slab[row]
+            for shift in [sim._BLOCK] * (d // sim._BLOCK) + [d % sim._BLOCK]:
+                if shift:
+                    held = line[-shift:].copy()
+                    line[shift:] = line[:-shift]  # one axis: copied from the top down
+                    line[:shift] = held
+    else:
+        split = len(shape) - 1  # shape[split:] is a group of whole rows
+        while math.prod(shape[split - 1 :]) <= sim._BLOCK:
+            split -= 1
+        step = sim._BLOCK // math.prod(shape[split:])
+        for outer in np.ndindex(shape[: split - 1]):
+            for start in range(0, shape[split - 1], step):
+                group = slab[(*outer, slice(start, start + step))]
+                group[...] = np.roll(group, d, axis=-1)
 
 
 def transport_distribution(problem: TransportProblem) -> np.ndarray:

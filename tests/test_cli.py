@@ -751,3 +751,21 @@ class TestDumpCircuit:
         assert main(["dump-circuit", "-p", table_a1_path]) == 0
         text = capsys.readouterr().out
         assert parse_circuit(text).qubit_count == 14
+
+
+class TestOneProcess:
+    def test_commands_in_one_process_match_fresh_processes(self, table_a1_path, capsys):
+        # the parser is built once per process, so nothing one command
+        # parses may reach the next
+        commands = [
+            ("qae", "-p", table_a1_path, "--predicate", "eq:5", "--seed", "3"),
+            ("exact", "-p", table_a1_path),
+            ("mc", "-p", table_a1_path, "--shots", "500", "--seed", "2"),
+            ("qae", "-p", table_a1_path, "--predicate", "region2"),
+        ]
+        for args in commands:
+            assert main(list(args)) == 0
+            fresh = run_cli(*args)
+            assert fresh.returncode == 0
+            assert capsys.readouterr().out == fresh.stdout
+        assert cli._build_parser() is cli._build_parser()

@@ -1,10 +1,14 @@
-"""Property tests over random problems.
+"""Property tests over random problems and random likelihoods.
 
-Each example is a problem drawn by `conftest.random_problem` from a drawn
-seed, so the examples cover the same problem space as the seeded tests.
-The settings are derandomized with no example database, so a run is
+Each engine example is a problem drawn by `conftest.random_problem` from a
+drawn seed, so the examples cover the same problem space as the seeded
+tests. The likelihood-search examples draw Grover schedules, shots and
+hits, and hold the block search to the argmax over every grid point. The
+settings are derandomized with no example database, so a run is
 deterministic and tier-1 stays fast.
 """
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,9 +16,15 @@ from hypothesis import strategies as st
 from qtransport.circuit import dump_circuit, inverse, parse_circuit
 from qtransport.classical_mc import exact_distribution
 from qtransport.qae import (
+    _LIKELIHOOD_BLOCK,
+    MAX_POWER,
     Predicate,
+    _block_bounds,
+    _likelihood_argmax,
+    _log_likelihood,
     build_a_operator,
     exact_amplitude,
+    max_likelihood_theta,
     predicate_mask,
     predicate_probability,
 )
@@ -126,3 +136,92 @@ def test_inverse_restores_random_state(seed, state_seed):
         apply_inplace(work, c)
         apply_inplace(work, inverse(c))
         np.testing.assert_allclose(work, state, rtol=0, atol=1e-12)
+
+
+# --- likelihood search ---------------------------------------------------------
+
+SEARCH = settings(DETERMINISTIC, max_examples=60)
+
+powers_strategy = st.lists(
+    st.one_of(
+        st.just(0),
+        st.just(MAX_POWER),
+        st.integers(0, 300),
+        st.integers(0, 61).map(lambda k: 1 << k),
+        st.integers(0, MAX_POWER),
+    ),
+    min_size=1,
+    max_size=7,
+)
+
+
+@st.composite
+def likelihood_inputs(draw):
+    """(powers, shots, hits): integer counts with hits often at 0 or s, or
+    fractional weights such as exact probabilities fed as frequencies."""
+    powers = draw(powers_strategy)
+    if draw(st.booleans()):
+        s = draw(st.sampled_from([1, 2, 7, 100, 1000]))
+        shots = [s] * len(powers)
+        hits = [draw(st.one_of(st.just(0), st.just(s), st.integers(0, s))) for _ in powers]
+    else:
+        shots = [draw(st.floats(0.5, 50.0)) for _ in powers]
+        hits = [draw(st.sampled_from([0.0, 1.0, draw(st.floats(0.0, 1.0))])) * s for s in shots]
+    return powers, shots, hits
+
+
+@st.composite
+def grids(draw):
+    """The dense first-round grid, or a 1001-point refinement window."""
+    if draw(st.booleans()):
+        return np.linspace(0.0, math.pi / 2, 100_001)
+    step = math.pi / 2 / 100_000
+    best = draw(st.integers(0, 100_000)) * step
+    return np.linspace(max(0.0, best - step), min(math.pi / 2, best + step), 1001)
+
+
+def full_grid_theta(powers, shots, hits) -> float:
+    """max_likelihood_theta as an argmax over every grid point of each round."""
+    lo, hi, points, best = 0.0, math.pi / 2, 100_000, 0.0
+    for _ in range(3):
+        grid = np.linspace(lo, hi, points + 1)
+        best = float(grid[np.argmax(_log_likelihood(grid, powers, shots, hits))])
+        step = (hi - lo) / points
+        lo, hi, points = max(0.0, best - step), min(math.pi / 2, best + step), 1000
+    return best
+
+
+def block_maxima(values: np.ndarray) -> np.ndarray:
+    return np.maximum.reduceat(values, np.arange(0, len(values), _LIKELIHOOD_BLOCK))
+
+
+@SEARCH
+@given(inputs=likelihood_inputs(), grid=grids())
+def test_search_index_is_full_grid_argmax(inputs, grid):
+    want = int(np.argmax(_log_likelihood(grid, *inputs)))
+    assert _likelihood_argmax(grid, *inputs) == want
+
+
+@SEARCH
+@given(inputs=likelihood_inputs())
+def test_search_theta_is_full_grid_theta(inputs):
+    assert max_likelihood_theta(*inputs) == full_grid_theta(*inputs)
+
+
+@SEARCH
+@given(inputs=likelihood_inputs(), grid=grids())
+def test_block_bound_holds_every_block(inputs, grid):
+    bounds = _block_bounds(grid, *inputs)
+    assert len(bounds) == -(-len(grid) // _LIKELIHOOD_BLOCK)
+    assert (bounds >= block_maxima(_log_likelihood(grid, *inputs))).all()
+
+
+@SEARCH
+@given(inputs=likelihood_inputs(), grid=grids(), seed=problem_seeds)
+def test_likelihood_of_points_is_bitwise_the_grid_value(inputs, grid, seed):
+    # the search evaluates gathered points; each must get the bits the
+    # whole grid gives it, wherever it sits in the smaller array
+    idx = np.sort(np.random.default_rng(seed).choice(len(grid), 300, replace=False))
+    full = _log_likelihood(grid, *inputs)
+    np.testing.assert_array_equal(_log_likelihood(grid[idx], *inputs), full[idx])
+    assert _log_likelihood(grid[idx[:1]], *inputs)[0] == full[idx[0]]

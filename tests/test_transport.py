@@ -18,6 +18,7 @@ from qtransport.qae import Predicate, build_a_operator
 from qtransport.transport import (
     MOVE,
     REACT,
+    _roll_x,
     apply_transport_inplace,
     build_controlled_adder,
     build_distribution_loader,
@@ -449,6 +450,45 @@ class TestRegisterLevel:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * (16 << 20)
+
+    def test_pass_scratch_is_one_block(self):
+        # x_qubits 20, one ungated flight with d_max 1: the adder shifts a
+        # 2^20-amplitude row, half the 32 MiB support, and the loader covers
+        # all 2^20 positions; neither may copy them
+        spec = RegionSpec((0.5, 0.5), 0.5)
+        problem = TransportProblem(20, 1, 2, (spec, spec))
+        tracemalloc.start()
+        try:
+            state = sim.zero_state(21)
+            apply_transport_inplace(state, problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.nbytes + 16 * sim._BLOCK
+        # (D, X) = (0, 0) and (1, 1), each with amplitude sqrt(1/2)
+        np.testing.assert_array_equal(np.flatnonzero(state), [0, (1 << 20) + 1])
+        np.testing.assert_allclose(state[[0, (1 << 20) + 1]], np.sqrt(0.5), rtol=0, atol=1e-15)
+        # the marginal adds its 8 MiB output and a block of squares and
+        # their sums (half a block's bytes each, plus a few small objects),
+        # even though one X row is longer than a block
+        tracemalloc.start()
+        try:
+            dist = transport_distribution(problem)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.nbytes + dist.nbytes + 16 * sim._BLOCK + (64 << 10)
+        np.testing.assert_allclose(dist[:2], [0.5, 0.5], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [1, 3, 2**16, 2**16 + 5, 2**17 - 1])
+    @pytest.mark.parametrize("shape", [(4, 8), (3, 2**10, 8), (2, 3, 2**14), (2, 2**17)])
+    def test_roll_x_matches_roll(self, shape, d):
+        rng = np.random.default_rng(d)
+        base = rng.normal(size=(*shape[:-1], 2, shape[-1])) + 0j
+        slab = base[..., 1, :]  # a strided view, as the pass hands it over
+        want = np.roll(slab, d, axis=-1)
+        _roll_x(slab, d)
+        np.testing.assert_array_equal(slab, want)
 
     def test_norm_check_raises_under_optimize(self):
         # `python -O` strips asserts, so the check must be a raise; the
