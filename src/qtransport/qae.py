@@ -23,18 +23,22 @@ tests hold it to.
 
 Estimation is maximum-likelihood over a schedule of Grover powers: shot
 counts at each power are fused into one likelihood over theta, maximized on
-a dense grid of 100 001 points and then on two 1001-point refinement grids.
-Each round finds the grid's first maximum without evaluating every point
-(`_likelihood_argmax`). The grid is cut into blocks of 64 points, and each
-block gets a rigorous upper bound of the log-likelihood from the range of
-sin^2((2m+1) theta) over the block. The 8 blocks with the highest bounds are
-evaluated, and then every block whose bound reaches their maximum; no other
-block can hold the maximum. Every point is computed by the same elementwise
-arithmetic (`_log_likelihood`) whichever points share its array, so the
-index, and every theta_hat and p_hat, is bit-identical to np.argmax over the
-whole grid, ties included. On an exp:6 schedule with 100 shots per power the
-dense round evaluates under 1% of its blocks, and the three rounds together
-cost about a sixth of one evaluation of the whole dense grid.
+a dense grid of 100 001 points and then on two 1001-point refinement
+windows. The dense round finds the grid's first maximum without building
+the grid or evaluating every point (`_likelihood_argmax`). The grid is cut
+into blocks of 64 points, and each block gets a rigorous upper bound of the
+log-likelihood from the range of sin^2((2m+1) theta) between its two end
+points. The 8 blocks with the highest bounds are evaluated, and then every
+block whose bound reaches their maximum; no other block can hold the
+maximum. `_grid_points` computes just the thetas used, bit for bit as
+np.linspace places them, and every point's likelihood is computed by the
+same elementwise arithmetic (`_log_likelihood`) whichever points share its
+array, so the index, and every theta_hat and p_hat, is bit-identical to
+np.argmax over the whole grid, ties included. On an exp:6 schedule with 100
+shots per power the search evaluates under 1% of the blocks. A refinement
+window is two steps of the round before wide, so nearly all its blocks
+would survive the bound; each is evaluated on all its points instead.
+Malformed counts raise InvariantError (`check_counts`).
 
 Oracle-call accounting: each A or A^-1 counts as one call, so a shot at
 power m costs 2m+1 calls.
@@ -290,15 +294,23 @@ def _log_likelihood(theta: np.ndarray, powers, shots, hits) -> np.ndarray:
     return ll
 
 
+def _grid_points(lo: float, hi: float, points: int, index) -> np.ndarray:
+    """np.linspace(lo, hi, points + 1)[index], bit for bit, without building
+    the grid: linspace puts point i at i * ((hi - lo) / points) + lo and
+    sets the last point to hi."""
+    index = np.asarray(index)
+    return np.where(index == points, hi, index * ((hi - lo) / points) + lo)
+
+
 def _block_points(blocks: np.ndarray, size: int) -> np.ndarray:
     """Grid indices of the given blocks, in order, clipped to the grid."""
     points = (blocks[:, None] * _LIKELIHOOD_BLOCK + np.arange(_LIKELIHOOD_BLOCK)).ravel()
     return points[points < size]
 
 
-def _block_bounds(grid: np.ndarray, powers, shots, hits) -> np.ndarray:
-    """Upper bound of `_log_likelihood` over each block of _LIKELIHOOD_BLOCK
-    consecutive grid points (the last block may be shorter).
+def _block_bounds(least: np.ndarray, greatest: np.ndarray, powers, shots, hits) -> np.ndarray:
+    """Upper bound of `_log_likelihood` over each block of grid points whose
+    least and greatest theta are `least` and `greatest`.
 
     Within a block the arguments (2m+1) theta, computed as the likelihood
     computes them, lie between their values at the block's least and
@@ -311,8 +323,6 @@ def _block_bounds(grid: np.ndarray, powers, shots, hits) -> np.ndarray:
     rounding and the sum by _BOUND_SLOP against the log's, so each bound is
     at least every value `_log_likelihood` computes in its block.
     """
-    starts = np.arange(0, len(grid), _LIKELIHOOD_BLOCK)
-    least, greatest = np.minimum.reduceat(grid, starts), np.maximum.reduceat(grid, starts)
     # one row per power; the products are the likelihood's own
     lo_arg = np.array([np.multiply(2 * m + 1, least) for m in powers])
     hi_arg = np.array([np.multiply(2 * m + 1, greatest) for m in powers])
@@ -334,21 +344,29 @@ def _block_bounds(grid: np.ndarray, powers, shots, hits) -> np.ndarray:
     return term.sum(axis=0) + _BOUND_SLOP * (1.0 + np.abs(term).sum(axis=0))
 
 
-def _likelihood_argmax(grid: np.ndarray, powers, shots, hits) -> int:
-    """Index of the first maximum of `_log_likelihood` on the grid, the
-    index np.argmax would give on every point, found from the blocks that
-    can hold it.
+def _likelihood_argmax(lo: float, hi: float, points: int, powers, shots, hits) -> int:
+    """Index of the first maximum of `_log_likelihood` on the grid
+    np.linspace(lo, hi, points + 1), the index np.argmax would give on
+    every point, found from the blocks that can hold it; only the thetas it
+    uses are computed (`_grid_points`).
 
-    The _SEED_BLOCKS blocks with the highest bounds are evaluated, and
-    their maximum is the floor. Every other block whose bound reaches the
-    floor (less 1e-9 relative) is evaluated too; the rest cannot hold a
-    maximum. Raises InvariantError if the likelihood is not finite or a
-    seed block exceeds its bound.
+    The grid is cut into blocks of _LIKELIHOOD_BLOCK points (the last may
+    be shorter), bounded from their end points. The _SEED_BLOCKS blocks
+    with the highest bounds are evaluated, and their maximum is the floor.
+    Every other block whose bound reaches the floor (less 1e-9 relative) is
+    evaluated too; the rest cannot hold a maximum. Raises InvariantError if
+    the likelihood is not finite or a seed block exceeds its bound.
     """
-    bounds = _block_bounds(grid, powers, shots, hits)
+    size = points + 1
+    starts = np.arange(0, size, _LIKELIHOOD_BLOCK)
+    ends = np.minimum(starts + _LIKELIHOOD_BLOCK - 1, size - 1)
+    bounds = _block_bounds(
+        _grid_points(lo, hi, points, starts), _grid_points(lo, hi, points, ends),
+        powers, shots, hits,
+    )
     seeds = np.sort(np.argsort(bounds)[-_SEED_BLOCKS:])
-    seed_points = _block_points(seeds, len(grid))
-    seed_ll = _log_likelihood(grid[seed_points], powers, shots, hits)
+    seed_points = _block_points(seeds, size)
+    seed_ll = _log_likelihood(_grid_points(lo, hi, points, seed_points), powers, shots, hits)
     floor = float(seed_ll.max())
     if not math.isfinite(floor):
         raise InvariantError(f"log-likelihood {floor} is not finite")
@@ -357,31 +375,54 @@ def _likelihood_argmax(grid: np.ndarray, powers, shots, hits) -> int:
         raise InvariantError("a likelihood block exceeds its bound")
     rest = bounds >= floor - 1e-9 * (1.0 + abs(floor))
     rest[seeds] = False
-    rest_points = _block_points(np.flatnonzero(rest), len(grid))
-    points = np.concatenate([seed_points, rest_points])
-    ll = np.concatenate([seed_ll, _log_likelihood(grid[rest_points], powers, shots, hits)])
-    return int(points[ll == ll.max()].min())
+    rest_points = _block_points(np.flatnonzero(rest), size)
+    rest_ll = _log_likelihood(_grid_points(lo, hi, points, rest_points), powers, shots, hits)
+    indices = np.concatenate([seed_points, rest_points])
+    ll = np.concatenate([seed_ll, rest_ll])
+    return int(indices[ll == ll.max()].min())
+
+
+def check_counts(powers, shots, hits) -> None:
+    """Raise InvariantError unless there are as many shot and hit weights as
+    powers, each finite, with 0 <= hit <= shots; weights may be fractional."""
+    if not len(powers) == len(shots) == len(hits):
+        raise InvariantError(
+            f"{len(powers)} powers, {len(shots)} shot counts and {len(hits)} hit counts"
+        )
+    for s, hit in zip(shots, hits):
+        if not (math.isfinite(s) and math.isfinite(hit) and 0 <= hit <= s):
+            raise InvariantError(f"hits {hit} of {s} shots: need finite 0 <= hits <= shots")
 
 
 def max_likelihood_theta(powers, shots, hits, grid_points: int = 100_000) -> float:
-    """Argmax of the fused likelihood over theta in [0, pi/2]: dense grid
-    then two rounds of local refinement on 1001 points, each searched by
-    `_likelihood_argmax`."""
+    """Argmax of the fused likelihood over theta in [0, pi/2]: a dense grid
+    of grid_points + 1 thetas, searched by `_likelihood_argmax`, then two
+    rounds of local refinement, each the argmax of every point of a
+    1001-point window two steps of the round before wide. Raises
+    InvariantError on malformed counts (`check_counts`) or a likelihood
+    that is not finite."""
+    check_counts(powers, shots, hits)
     lo, hi = 0.0, math.pi / 2
-    points = grid_points
-    best = 0.0
-    for _ in range(3):
-        grid = np.linspace(lo, hi, points + 1)
-        best = float(grid[_likelihood_argmax(grid, powers, shots, hits)])
-        step = (hi - lo) / points
+    index = _likelihood_argmax(lo, hi, grid_points, powers, shots, hits)
+    best = float(_grid_points(lo, hi, grid_points, index))
+    step = (hi - lo) / grid_points
+    for _ in range(2):
         lo, hi = max(0.0, best - step), min(math.pi / 2, best + step)
-        points = 1000
+        grid = np.linspace(lo, hi, 1001)
+        ll = _log_likelihood(grid, powers, shots, hits)
+        index = int(np.argmax(ll))
+        if not math.isfinite(ll[index]):
+            raise InvariantError(f"log-likelihood {ll[index]} is not finite")
+        best = float(grid[index])
+        step = (hi - lo) / 1000
     return best
 
 
 def theta_from_hits(powers, shots, hits) -> float:
     """Theta estimate from hit counts at each Grover power: 0 when every
-    shot missed, pi/2 when every shot hit, else the likelihood maximum."""
+    shot missed, pi/2 when every shot hit, else the likelihood maximum.
+    Raises InvariantError on malformed counts (`check_counts`)."""
+    check_counts(powers, shots, hits)
     if all(hit == 0 for hit in hits):
         return 0.0
     if all(hit == s for hit, s in zip(hits, shots)):

@@ -16,8 +16,9 @@ same layout; the last two square and sum a block of amplitudes at a time,
 so their scratch is one block, not a float64 copy of the state.
 
 `sample` draws shots from a probability vector sequentially and vectorized
-from a single seeded stream, so counts are bit-identical for a given seed
-no matter how the surrounding code is parallelized.
+from a single seeded stream, a block of 2^16 uniforms at a time, so counts
+are bit-identical for a given seed no matter how the surrounding code is
+parallelized, and its scratch does not grow with the number of shots.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from .errors import CapacityError, InvariantError
 
 DEFAULT_MAX_QUBITS = 26
 MAX_QUBITS_ENV = "QTRANSPORT_MAX_QUBITS"
-_BLOCK = 1 << 16  # amplitudes squared at a time by the blocked readers
+_BLOCK = 1 << 16  # amplitudes squared, or shots drawn, at a time by the blocked loops
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 
 
@@ -214,12 +215,19 @@ def flag_probability(amplitudes: np.ndarray, qubit: int) -> float:
 def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Counts of `shots` outcomes drawn i.i.d. from a probability vector.
 
-    Identical seeds give identical counts.
+    The uniforms come from one seeded stream, 2^16 (sim._BLOCK) at a time,
+    and each block's counts are added up. PCG64 makes one double per
+    output, so the counts are those of a single draw of every shot, and
+    identical seeds give identical counts; the scratch is one block
+    whatever the number of shots.
     """
     if shots < 1:
         raise InvariantError("shots must be >= 1")
     cdf = np.cumsum(probs)
-    u = np.random.default_rng(seed).random(shots)
-    outcomes = np.searchsorted(cdf, u, side="right")
-    outcomes = np.minimum(outcomes, len(probs) - 1)
-    return np.bincount(outcomes, minlength=len(probs))
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(probs), dtype=np.intp)
+    for start in range(0, shots, _BLOCK):
+        outcomes = np.searchsorted(cdf, rng.random(min(_BLOCK, shots - start)), side="right")
+        np.minimum(outcomes, len(probs) - 1, out=outcomes)
+        counts += np.bincount(outcomes, minlength=len(probs))
+    return counts

@@ -401,14 +401,16 @@ def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -
         region is a boolean mask over X and the AND is "every gated R_j
         so far is 1";
       - loader and reaction: new[R_m=r, D_m=d] = old[0, 0] * load[d] *
-        react[r] for x's region, from the largest (r, d) down, so the
-        write is in place; `build_distribution_loader` and
-        `build_reaction_rotation` supply the amplitudes;
+        react[r] for x's region, one multiply per region and value of r
+        over every d, with (r, d) = (0, 0), which is old itself, scaled
+        last; `build_distribution_loader` and `build_reaction_rotation`
+        supply the amplitudes;
       - adder: on the slab where D_m = d >= 1 and every gated R_j is 1,
         a cyclic shift of X by d, which is the modular add exactly.
-    Both write in place: the loader multiplies each region's X range by
-    its scalar, and the shift moves a block at a time (`_roll_x`), so the
-    scratch is one block of sim._BLOCK amplitudes, not a copy of a slab.
+    Both write in place: the loader multiplies each region's X range by a
+    table of (r, d) scalars, and the shift moves a block at a time
+    (`_roll_x`), so the scratch is one block of sim._BLOCK amplitudes, not
+    a copy of a slab.
 
     `build_transport_circuit` is the definition this pass must reproduce;
     the tests compare the two on full states. Raises InvariantError if the
@@ -445,14 +447,20 @@ def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -
             del at_zero[r_name]
             gating[r_name] = 1
         reaction = react if problem.has_reaction(m) else no_reaction
-        old = part({**at_zero, d_name: 0, r_name: 0})
-        old1, old2 = old[..., :boundary], old[..., boundary:]
-        for r in reversed(range(len(reaction[0]))):
-            for d in reversed(range(len(load[0]))):
-                region1, region2 = (load[k][d] * reaction[k][r] for k in (0, 1))
-                new = part({**at_zero, d_name: d, r_name: r})
-                np.multiply(old1, region1, out=new[..., :boundary])
-                np.multiply(old2, region2, out=new[..., boundary:])
+        block = part(at_zero)  # axes R_m, D_m, the earlier registers, X
+        if not problem.has_reaction(m):
+            block = block[None]  # r = 0 only, on a length-1 axis
+        old = block[0, 0]
+        for k, region in enumerate((slice(None, boundary), slice(boundary, None))):
+            # scale[r, d] = load[d] * react[r], shaped to broadcast over old
+            scale = (load[k][None, :] * reaction[k][:, None]).reshape(
+                block.shape[:2] + (1,) * old.ndim
+            )
+            new, held = block[..., region], old[..., region]
+            for r in range(1, len(scale)):
+                np.multiply(held, scale[r], out=new[r])
+            np.multiply(held, scale[0, 1:], out=new[0, 1:])
+            np.multiply(held, scale[0, 0], out=held)  # (r, d) = (0, 0) is old itself
         for d in range(1, len(load[0])):
             _roll_x(part({**at_zero, **gating, d_name: d}), d)
     sim.check_norm(amplitudes)

@@ -300,15 +300,16 @@ class TestExitCodes:
         "args",
         [
             ("mc", "--mode", "flowchart", "--shots", str(2**50)),
-            ("mc", "--mode", "circuit", "--shots", str(2**50)),
             ("convergence", "--predicate", "region2", "--schedule", "exp:1",
              "--seeds", "1", "--budgets", str(2**50)),
         ],
-        ids=["flowchart", "circuit", "convergence"],
+        ids=["flowchart", "convergence"],
     )
     def test_refused_allocation_is_4(self, table_a1_path, args):
         # 2^50 eight-byte entries are past the 128 TiB address space, so the
-        # request is refused whatever the overcommit setting
+        # request is refused whatever the overcommit setting (`mc --mode
+        # circuit` draws its shots a block at a time and allocates no such
+        # array)
         result = run_cli(*args, "-p", table_a1_path)
         assert result.returncode == 4
         assert result.stderr.startswith("error: ")

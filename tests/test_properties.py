@@ -10,7 +10,7 @@ deterministic and tier-1 stays fast.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtransport.circuit import dump_circuit, inverse, parse_circuit
@@ -20,6 +20,7 @@ from qtransport.qae import (
     MAX_POWER,
     Predicate,
     _block_bounds,
+    _grid_points,
     _likelihood_argmax,
     _log_likelihood,
     build_a_operator,
@@ -171,13 +172,25 @@ def likelihood_inputs(draw):
 
 
 @st.composite
-def grids(draw):
-    """The dense first-round grid, or a 1001-point refinement window."""
+def windows(draw):
+    """(lo, hi, points) of the dense first-round grid, or of a 1001-point
+    refinement window around one of its points, clamped at 0 or pi/2 at
+    the ends."""
     if draw(st.booleans()):
-        return np.linspace(0.0, math.pi / 2, 100_001)
+        return 0.0, math.pi / 2, 100_000
     step = math.pi / 2 / 100_000
-    best = draw(st.integers(0, 100_000)) * step
-    return np.linspace(max(0.0, best - step), min(math.pi / 2, best + step), 1001)
+    best = draw(st.one_of(st.just(0), st.just(100_000), st.integers(0, 100_000))) * step
+    return max(0.0, best - step), min(math.pi / 2, best + step), 1000
+
+
+def linspace(window) -> np.ndarray:
+    lo, hi, points = window
+    return np.linspace(lo, hi, points + 1)
+
+
+def grids():
+    """The points of a window: the dense grid or a refinement window."""
+    return windows().map(linspace)
 
 
 def full_grid_theta(powers, shots, hits) -> float:
@@ -195,11 +208,30 @@ def block_maxima(values: np.ndarray) -> np.ndarray:
     return np.maximum.reduceat(values, np.arange(0, len(values), _LIKELIHOOD_BLOCK))
 
 
+@DETERMINISTIC
+@given(window=windows(), index=st.one_of(st.just(0), st.just(1000), st.integers(0, 1000)))
+@example(window=(0.0, math.pi / 2, 100_000), index=0)
+@example(window=(0.0, math.pi / 2, 100_000), index=1000)
+def test_grid_points_are_linspace_bitwise(window, index):
+    # the window, and the next round's window around its point at `index`
+    # (scaled to the window), as max_likelihood_theta places them
+    lo, hi, points = window
+    best = float(linspace(window)[index * points // 1000])
+    step = (hi - lo) / points
+    refined = (max(0.0, best - step), min(math.pi / 2, best + step), 1000)
+    for lo, hi, points in (window, refined):
+        want = np.linspace(lo, hi, points + 1)
+        got = _grid_points(lo, hi, points, np.arange(points + 1))
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        for i in (0, points // 2, points):
+            assert float(_grid_points(lo, hi, points, i)) == want[i]
+
+
 @SEARCH
-@given(inputs=likelihood_inputs(), grid=grids())
-def test_search_index_is_full_grid_argmax(inputs, grid):
-    want = int(np.argmax(_log_likelihood(grid, *inputs)))
-    assert _likelihood_argmax(grid, *inputs) == want
+@given(inputs=likelihood_inputs(), window=windows())
+def test_search_index_is_full_grid_argmax(inputs, window):
+    want = int(np.argmax(_log_likelihood(linspace(window), *inputs)))
+    assert _likelihood_argmax(*window, *inputs) == want
 
 
 @SEARCH
@@ -211,7 +243,9 @@ def test_search_theta_is_full_grid_theta(inputs):
 @SEARCH
 @given(inputs=likelihood_inputs(), grid=grids())
 def test_block_bound_holds_every_block(inputs, grid):
-    bounds = _block_bounds(grid, *inputs)
+    starts = np.arange(0, len(grid), _LIKELIHOOD_BLOCK)
+    ends = np.minimum(starts + _LIKELIHOOD_BLOCK - 1, len(grid) - 1)
+    bounds = _block_bounds(grid[starts], grid[ends], *inputs)
     assert len(bounds) == -(-len(grid) // _LIKELIHOOD_BLOCK)
     assert (bounds >= block_maxima(_log_likelihood(grid, *inputs))).all()
 

@@ -24,6 +24,7 @@ from qtransport.qae import (
     parse_predicate,
     predicate_mask,
     predicate_probability,
+    theta_from_hits,
 )
 from qtransport.transport import build_region_flag, build_transport_circuit
 
@@ -289,6 +290,25 @@ class TestMlqae:
         freqs = [math.sin((2 * m + 1) * theta) ** 2 for m in powers]
         got = max_likelihood_theta(powers, [1.0] * len(powers), freqs)
         assert abs(got - theta) < 1e-6
+
+    @pytest.mark.parametrize(
+        "powers, shots, hits",
+        [
+            ((1, 2, 4), [100, 100], [50, 20]),  # fewer shot counts than powers
+            ((1, 2), [100, 100], [50, 20, 7]),  # more hit counts than powers
+            ((1, 2), [100, 100], [150, 20]),  # more hits than shots
+            ((1, 2), [100, 100], [-5, 20]),
+            ((1, 2), [100, -100], [0, -100]),
+            ((1, 2), [100, math.inf], [50, 20]),
+            ((1, 2), [100, 100], [math.nan, 20]),
+            ((1, 2), [100, 100], [0, 0, 0]),  # no shortcut before the check
+        ],
+    )
+    def test_malformed_counts_rejected(self, powers, shots, hits):
+        with pytest.raises(InvariantError):
+            theta_from_hits(powers, shots, hits)
+        with pytest.raises(InvariantError):
+            max_likelihood_theta(powers, shots, hits)
 
     def test_deterministic_per_seed(self, table_a1):
         p = predicate_probability(table_a1, Predicate.region2())

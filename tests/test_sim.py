@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qtransport import sim
 from qtransport.circuit import Circuit, h, mct, register_value, ry, x
 from qtransport.errors import CapacityError, InvariantError
 from qtransport.sim import (
@@ -313,6 +315,30 @@ class TestSample:
     def test_zero_shots_rejected(self):
         with pytest.raises(InvariantError):
             sample(marginal(zero_state(2), (0,)), 0, seed=0)
+
+    @pytest.mark.parametrize("shots", [1, 5, sim._BLOCK, sim._BLOCK + 1, 3 * sim._BLOCK + 5])
+    def test_blocks_draw_the_single_stream(self, shots):
+        # the counts a single draw of every shot gives, across block edges
+        probs = np.random.default_rng(4).random(37)
+        probs /= probs.sum()
+        u = np.random.default_rng(8).random(shots)
+        outcomes = np.minimum(np.searchsorted(np.cumsum(probs), u, side="right"), 36)
+        want = np.bincount(outcomes, minlength=37)
+        np.testing.assert_array_equal(sample(probs, shots, seed=8), want)
+
+    def test_scratch_is_one_block(self):
+        # a block's uniforms and outcome indices, and the last block's
+        # indices until they are replaced: 8 bytes each per shot of a block,
+        # not per shot of the run (48 blocks of 8 bytes here)
+        probs = np.full(8, 1 / 8)
+        tracemalloc.start()
+        try:
+            counts = sample(probs, 16 * sim._BLOCK + 3, seed=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == 16 * sim._BLOCK + 3
+        assert peak <= 4 * 8 * sim._BLOCK
 
     def test_empirical_matches_exact_ks(self):
         # KS distance between empirical and exact CDFs at one million shots
