@@ -15,16 +15,18 @@ identical final-position distributions. `TransportProblem.steps` gives one
 step sequence per timing, and the sampler and the oracle each run one loop
 over it, so that claim stays checkable.
 
-`run_tally` runs a batch of histories and works only on those still in
-flight: an absorbed history is tallied at once and dropped. `run_history` is
-that batch sampler run for one shot. Three rules keep every seeded output
-fixed:
+`run_tally` runs a batch of histories, one block of 2^16 (`sim._BLOCK`) at
+a time, and works only on those still in flight: an absorbed history's
+position is recorded at once and the history dropped. `run_history` is
+that batch sampler run for one shot. Three rules keep every seeded output fixed:
 
-- each draw site draws one full-length uniform array, one entry per
-  history whether or not it is still alive, and history i reads entry i;
-- the sampler never stops drawing early, not even once every history is
-  absorbed, because `run_history` shares the caller's generator and must
-  advance it by the same amount on every call;
+- history i at draw site t reads PCG64 output t*shots + i, whatever the
+  block size and however many histories are still alive; `advance` places
+  each draw there, so a block draws only the span of its live histories,
+  and nothing once none is left;
+- the generator ends len(steps)*shots outputs past its start, with its
+  buffered 32-bit half as it was, because `run_history` shares the caller's
+  generator and each call must advance it by the same amount;
 - a flight distance is the number of k < d_max with u >= cdf[k], which for
   a monotone cdf equals min(searchsorted(cdf, u, "right"), d_max) exactly.
 """
@@ -36,6 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvariantError
+from .sim import _BLOCK
 from .transport import MOVE, TransportProblem
 
 FLIGHT_CAP = 10**6
@@ -104,18 +107,16 @@ def mean_flights_uncapped(p_absorb: float, histories: int, seed: int) -> float:
     if histories < 1:
         raise InvariantError("histories must be >= 1")
     rng = make_stream(seed)
-    flights = np.zeros(histories, dtype=np.int64)
-    alive = np.ones(histories, dtype=bool)
+    total = 0
+    alive = histories
     rounds = 0
-    while alive.any():
+    while alive:
         rounds += 1
         if rounds > FLIGHT_CAP:
             raise InvariantError(f"history exceeded the {FLIGHT_CAP}-flight cap")
-        flights[alive] += 1
-        survivors = np.flatnonzero(alive)
-        u = rng.random(len(survivors))
-        alive[survivors[u < p_absorb]] = False
-    return float(flights.mean())
+        total += alive
+        alive = int(np.count_nonzero(rng.random(alive) >= p_absorb))
+    return total / histories
 
 
 def _simulate_counts(
@@ -123,28 +124,45 @@ def _simulate_counts(
 ) -> np.ndarray:
     """Histogram of the final positions of a batch of histories.
 
-    Only live histories are worked on: `live` holds the indices of the
+    Histories run one block of `_BLOCK` at a time through all the steps.
+    Only live histories are worked on: `live` holds the block offsets of the
     histories still in flight and `pos` their positions. A history absorbed
-    at a reaction is tallied at once and dropped from both arrays.
+    at a reaction has its position written to `final` at once and is dropped
+    from both arrays; the block is tallied from `final` when it ends.
 
-    - Every draw site draws `rng.random(shots)`, one uniform per history
-      whether or not it is alive, and gathers the live entries in the same
-      expression. History i always reads entry i, so the output does not
-      depend on how many histories are still alive.
-    - The loop never stops early, not even when no history is left:
-      `run_history` shares the caller's generator, and each call must
-      advance it by one full draw per draw site.
+    - History i at draw site t reads PCG64 output t*shots + i. Before each
+      draw the generator is set back to its start state and advanced to the
+      block's first live history at that site; the span up to its last live
+      history is drawn and the live entries gathered from it. So the output
+      does not depend on the block size or on how many histories are alive,
+      and a block with no live history draws nothing more.
+    - At the end the generator is left len(steps)*shots outputs past its
+      start, as one full draw per draw site would leave it: `run_history`
+      shares the caller's generator. `advance` clears the buffered 32-bit
+      half of the state, so that is put back as it was.
     - The distance drawn by u is the number of k < d_max with
       u >= cdf[k]. The cdf is monotone, so this equals
       min(searchsorted(cdf, u, "right"), d_max) exactly.
     """
+    bit_generator = rng.bit_generator
+    if not isinstance(bit_generator, np.random.PCG64):
+        raise InvariantError(
+            f"the flowchart sampler needs a PCG64 generator, got {type(bit_generator).__name__}"
+        )
+    start = bit_generator.state
+    steps = problem.steps()
     boundary = problem.boundary
     scatter = np.array([r.p_scatter for r in problem.regions])
     # thresholds[k] = (cdf_0[k], cdf_1[k]) for k < d_max
     thresholds = np.cumsum([r.distance_pmf for r in problem.regions], axis=1)[:, :-1].T
     counts = np.zeros(problem.position_count, dtype=np.int64)
-    live = np.arange(shots)
-    pos = np.zeros(shots, dtype=np.int64)
+
+    def draw(site_start, live):
+        # output site_start + j for each live block offset j
+        first = int(live[0])
+        bit_generator.state = start
+        bit_generator.advance(site_start + first)
+        return rng.random(int(live[-1]) - first + 1).take(live - first)
 
     # Region indices are intp and masks become index arrays before gathering:
     # `take` converts a bool index array on every call, and indexing with a
@@ -152,29 +170,39 @@ def _simulate_counts(
     def region_of(pos):
         return (pos >= boundary).astype(np.intp)
 
-    # Each step is a function so that its draw and scratch arrays are freed
-    # before the next step's full-length draw.
-    def react():
-        nonlocal counts, live, pos
-        keep = rng.random(shots)[live] < scatter.take(region_of(pos))
-        counts += np.bincount(pos.take((~keep).nonzero()[0]), minlength=len(counts))
-        kept = keep.nonzero()[0]
-        live = live.take(kept)
-        pos = pos.take(kept)
-
-    def move():
-        nonlocal pos
-        u = rng.random(shots)[live]
+    # Each step is a function, and its draw an argument, so that the draw
+    # and scratch arrays are freed before the next step's draw.
+    def move(u, pos):
         region = region_of(pos)
         for cdf_k in thresholds:
             pos += u >= cdf_k.take(region)
 
-    for step in problem.steps():
-        if step == MOVE:
-            move()
-        else:
-            react()
-    counts += np.bincount(pos, minlength=len(counts))
+    def react(u, live, pos, final):
+        keep = u < scatter.take(region_of(pos))
+        absorbed = (~keep).nonzero()[0]
+        final[live.take(absorbed)] = pos.take(absorbed)
+        kept = keep.nonzero()[0]
+        return live.take(kept), pos.take(kept)
+
+    for block_start in range(0, shots, _BLOCK):
+        final = np.empty(min(_BLOCK, shots - block_start), dtype=np.int64)
+        live = np.arange(len(final))
+        pos = np.zeros(len(final), dtype=np.int64)
+        for t, step in enumerate(steps):
+            if not len(live):
+                break
+            site_start = t * shots + block_start
+            if step == MOVE:
+                move(draw(site_start, live), pos)
+            else:
+                live, pos = react(draw(site_start, live), live, pos, final)
+        final[live] = pos
+        counts += np.bincount(final, minlength=len(counts))
+
+    buffered = {key: start[key] for key in ("has_uint32", "uinteger")}
+    bit_generator.state = start
+    bit_generator.advance(len(steps) * shots)
+    bit_generator.state = {**bit_generator.state, **buffered}
     return counts
 
 

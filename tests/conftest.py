@@ -6,6 +6,7 @@ import pytest
 from qtransport import RegionSpec, TransportProblem
 from qtransport.qae import build_grover_operator
 from qtransport.sim import apply_inplace, flag_probability, zero_state
+from qtransport.transport import MOVE
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -109,3 +110,28 @@ def simulated_grover_probabilities(a, powers) -> np.ndarray:
             current += 1
         by_power[m] = flag_probability(state, flag)
     return np.array([by_power[m] for m in powers])
+
+
+def full_draw_counts(problem: TransportProblem, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """The flowchart tally as one batch that draws `rng.random(shots)` at every
+    draw site, alive or not, and has history i read entry i: the reference
+    the blocked sampler's stream placement is held to."""
+    boundary = problem.boundary
+    scatter = np.array([r.p_scatter for r in problem.regions])
+    thresholds = np.cumsum([r.distance_pmf for r in problem.regions], axis=1)[:, :-1].T
+    counts = np.zeros(problem.position_count, dtype=np.int64)
+    live = np.arange(shots)
+    pos = np.zeros(shots, dtype=np.int64)
+    for step in problem.steps():
+        u = rng.random(shots)[live]
+        region = (pos >= boundary).astype(np.intp)
+        if step == MOVE:
+            for cdf_k in thresholds:
+                pos += u >= cdf_k.take(region)
+        else:
+            keep = u < scatter.take(region)
+            counts += np.bincount(pos[~keep], minlength=len(counts))
+            live = live[keep]
+            pos = pos[keep]
+    counts += np.bincount(pos, minlength=len(counts))
+    return counts

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,8 +17,9 @@ from qtransport.classical_mc import (
     sample_flight_distance_continuous,
 )
 from qtransport.errors import InvariantError
+from qtransport.sim import _BLOCK
 
-from conftest import HAND_P_ZERO, random_problem
+from conftest import HAND_P_ZERO, full_draw_counts, random_problem
 
 E = math.e
 
@@ -344,6 +346,62 @@ class TestRunTally:
         exact = exact_distribution(problem)
         sigma = np.sqrt(exact * (1 - exact) / 50_000)
         assert (np.abs(tally.frequencies() - exact) < 4 * sigma + 1e-9).all()
+
+
+class TestBlockedStream:
+    """The blocked sampler reads the stream where `full_draw_counts`, which
+    draws one uniform per history at every draw site, reads it."""
+
+    PROBLEMS = {
+        "mixed": (RegionSpec((0.2, 0.3, 0.5), 0.3), RegionSpec((0.5, 0.3, 0.2), 0.5)),
+        # nearly every history is absorbed within five reactions, so whole
+        # blocks run out of live histories before the last draw site
+        "absorbing": (RegionSpec((0.2, 0.3, 0.5), 0.9), RegionSpec((0.5, 0.3, 0.2), 0.95)),
+    }
+
+    @pytest.mark.parametrize("shots", [1, 5, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
+    @pytest.mark.parametrize("first", [True, False])
+    @pytest.mark.parametrize("timing", ["pre_flight", "post_flight"])
+    @pytest.mark.parametrize("kind", ["mixed", "absorbing"])
+    def test_matches_full_draw(self, kind, timing, first, shots):
+        problem = TransportProblem(
+            x_qubits=6, max_flights=8, boundary=16, regions=self.PROBLEMS[kind],
+            first_flight_always=first, reaction_timing=timing,
+        )
+        rng, oracle = make_stream(shots), make_stream(shots)
+        np.testing.assert_array_equal(
+            classical_mc._simulate_counts(problem, shots, rng),
+            full_draw_counts(problem, shots, oracle),
+        )
+        assert rng.random() == oracle.random()
+
+    def test_buffered_uint32_kept(self, table_a1):
+        # `advance` drops the buffered half of a 64-bit output; the caller's
+        # next uint32 must still be that half
+        rng, oracle = make_stream(2), make_stream(2)
+        for stream in (rng, oracle):
+            stream.integers(2**32, dtype=np.uint32)
+            assert stream.bit_generator.state["has_uint32"]
+        run_history(table_a1, rng)
+        full_draw_counts(table_a1, 1, oracle)
+        assert rng.integers(2**32, dtype=np.uint32) == oracle.integers(2**32, dtype=np.uint32)
+
+    def test_non_pcg64_generator_rejected(self, table_a1):
+        with pytest.raises(InvariantError, match="PCG64"):
+            run_history(table_a1, np.random.Generator(np.random.MT19937(0)))
+
+    def test_scratch_does_not_grow_with_shots(self):
+        problem = TestRunTally.golden_problem("first", "pre_flight")
+        peaks = {}
+        for shots in (1 << 17, 1 << 20):
+            tracemalloc.start()
+            try:
+                run_tally(problem, shots, seed=1)
+                peaks[shots] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert max(peaks.values()) <= 4 << 20
+        assert abs(peaks[1 << 20] - peaks[1 << 17]) <= 64 << 10
 
 
 class TestExactDistribution:

@@ -189,6 +189,7 @@ def run_cli(*args, env=None):
         capture_output=True,
         text=True,
         env=full_env,
+        timeout=120,
     )
 
 
@@ -298,21 +299,20 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "args",
-        [
-            ("mc", "--mode", "flowchart", "--shots", str(2**50)),
-            ("convergence", "--predicate", "region2", "--schedule", "exp:1",
-             "--seeds", "1", "--budgets", str(2**50)),
-        ],
-        ids=["flowchart", "convergence"],
+        [("exact", "--oracle"), ("mc", "--mode", "flowchart", "--shots", "10")],
+        ids=["exact_oracle", "flowchart"],
     )
-    def test_refused_allocation_is_4(self, table_a1_path, args):
-        # 2^50 eight-byte entries are past the 128 TiB address space, so the
-        # request is refused whatever the overcommit setting (`mc --mode
-        # circuit` draws its shots a block at a time and allocates no such
-        # array)
-        result = run_cli(*args, "-p", table_a1_path)
+    def test_refused_allocation_is_4(self, tmp_path, args):
+        # 2^50 positions of eight bytes are past the 128 TiB address space,
+        # so the oracle's mass vectors and the tally's counts are refused
+        # whatever the overcommit setting (the samplers draw their shots a
+        # block at a time and allocate nothing per shot)
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=50)))
+        result = run_cli(*args, "-p", str(path))
         assert result.returncode == 4
         assert result.stderr.startswith("error: ")
+        assert "8.00 PiB" in result.stderr
         assert "Traceback" not in result.stderr
 
     def test_past_ceiling_exits_4_before_allocating(self, tmp_path, monkeypatch, capsys):

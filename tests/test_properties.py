@@ -2,10 +2,11 @@
 
 Each engine example is a problem drawn by `conftest.random_problem` from a
 drawn seed, so the examples cover the same problem space as the seeded
-tests. The likelihood-search examples draw Grover schedules, shots and
-hits, and hold the block search to the argmax over every grid point. The
-settings are derandomized with no example database, so a run is
-deterministic and tier-1 stays fast.
+tests. The tally examples also draw shots on both sides of block edges and
+hold the blocked sampler to the full-draw reference. The likelihood-search
+examples draw Grover schedules, shots and hits, and hold the block search
+to the argmax over every grid point. The settings are derandomized with no
+example database, so a run is deterministic and tier-1 stays fast.
 """
 import math
 
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtransport.circuit import dump_circuit, inverse, parse_circuit
-from qtransport.classical_mc import exact_distribution
+from qtransport.classical_mc import _simulate_counts, exact_distribution, make_stream
 from qtransport.qae import (
     _LIKELIHOOD_BLOCK,
     MAX_POWER,
@@ -29,14 +30,14 @@ from qtransport.qae import (
     predicate_mask,
     predicate_probability,
 )
-from qtransport.sim import apply_inplace, zero_state
+from qtransport.sim import _BLOCK, apply_inplace, zero_state
 from qtransport.transport import (
     apply_transport_inplace,
     build_transport_circuit,
     transport_distribution,
 )
 
-from conftest import embed_support, random_problem, support_slice
+from conftest import embed_support, full_draw_counts, random_problem, support_slice
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=20)
 
@@ -137,6 +138,19 @@ def test_inverse_restores_random_state(seed, state_seed):
         apply_inplace(work, c)
         apply_inplace(work, inverse(c))
         np.testing.assert_allclose(work, state, rtol=0, atol=1e-12)
+
+
+@DETERMINISTIC
+@given(seed=problem_seeds, shots=st.integers(1, 3 * _BLOCK + 5), stream_seed=problem_seeds)
+@example(seed=0, shots=_BLOCK, stream_seed=0)
+@example(seed=0, shots=_BLOCK + 1, stream_seed=0)
+def test_blocked_tally_is_the_full_draw(seed, shots, stream_seed):
+    problem = draw_problem(seed)
+    rng, oracle = make_stream(stream_seed), make_stream(stream_seed)
+    np.testing.assert_array_equal(
+        _simulate_counts(problem, shots, rng), full_draw_counts(problem, shots, oracle)
+    )
+    assert rng.random() == oracle.random()
 
 
 # --- likelihood search ---------------------------------------------------------
