@@ -43,7 +43,7 @@ from .qae import (
     predicate_probability,
 )
 from .resources import ResourceEstimate, circuit_budget, practical_estimate
-from .sim import apply_inplace, flag_probability, marginal, sample, zero_state
+from .sim import apply_inplace, marginal, mask_probability, sample, zero_state
 from .transport import (
     RegionSpec,
     TransportCircuit,

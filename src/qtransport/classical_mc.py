@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvariantError
+from .errors import CapacityError, InvariantError
 from .sim import _BLOCK
 from .transport import MOVE, TransportProblem
 
@@ -119,6 +119,15 @@ def mean_flights_uncapped(p_absorb: float, histories: int, seed: int) -> float:
     return total / histories
 
 
+def _check_positions(problem: TransportProblem) -> None:
+    """CapacityError naming the bytes if numpy cannot index a vector of 8-byte
+    entries over every position (it would raise ValueError, not MemoryError);
+    the oracle and the tally call it before they allocate one."""
+    nbytes = 8 * problem.position_count
+    if nbytes > np.iinfo(np.intp).max:
+        raise CapacityError(f"cannot allocate {nbytes} bytes for 2^{problem.x_qubits} positions")
+
+
 def _simulate_counts(
     problem: TransportProblem, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
@@ -130,9 +139,10 @@ def _simulate_counts(
     at a reaction has its position written to `final` at once and is dropped
     from both arrays; the block is tallied from `final` when it ends.
 
-    - History i at draw site t reads PCG64 output t*shots + i. Before each
-      draw the generator is set back to its start state and advanced to the
-      block's first live history at that site; the span up to its last live
+    - History i at draw site t reads PCG64 output t*shots + i. Each block
+      sets the generator back to its start state once; before each draw it
+      is advanced from the end of the block's last draw to the block's
+      first live history at that site, and the span up to its last live
       history is drawn and the live entries gathered from it. So the output
       does not depend on the block size or on how many histories are alive,
       and a block with no live history draws nothing more.
@@ -149,6 +159,7 @@ def _simulate_counts(
         raise InvariantError(
             f"the flowchart sampler needs a PCG64 generator, got {type(bit_generator).__name__}"
         )
+    _check_positions(problem)
     start = bit_generator.state
     steps = problem.steps()
     boundary = problem.boundary
@@ -157,12 +168,16 @@ def _simulate_counts(
     thresholds = np.cumsum([r.distance_pmf for r in problem.regions], axis=1)[:, :-1].T
     counts = np.zeros(problem.position_count, dtype=np.int64)
 
+    drawn = 0  # outputs past `start` the generator stands at
+
     def draw(site_start, live):
-        # output site_start + j for each live block offset j
-        first = int(live[0])
-        bit_generator.state = start
-        bit_generator.advance(site_start + first)
-        return rng.random(int(live[-1]) - first + 1).take(live - first)
+        # output site_start + j for each live block offset j; within a block
+        # the sites only move forward, so each draw advances from the last
+        nonlocal drawn
+        first, last = int(live[0]), int(live[-1])
+        bit_generator.advance(site_start + first - drawn)
+        drawn = site_start + last + 1
+        return rng.random(last - first + 1).take(live - first)
 
     # Region indices are intp and masks become index arrays before gathering:
     # `take` converts a bool index array on every call, and indexing with a
@@ -185,6 +200,7 @@ def _simulate_counts(
         return live.take(kept), pos.take(kept)
 
     for block_start in range(0, shots, _BLOCK):
+        bit_generator.state, drawn = start, 0
         final = np.empty(min(_BLOCK, shots - block_start), dtype=np.int64)
         live = np.arange(len(final))
         pos = np.zeros(len(final), dtype=np.int64)
@@ -200,8 +216,7 @@ def _simulate_counts(
         counts += np.bincount(final, minlength=len(counts))
 
     buffered = {key: start[key] for key in ("has_uint32", "uinteger")}
-    bit_generator.state = start
-    bit_generator.advance(len(steps) * shots)
+    bit_generator.advance(len(steps) * shots - drawn)  # from the last block's last draw
     bit_generator.state = {**bit_generator.state, **buffered}
     return counts
 
@@ -227,6 +242,7 @@ def exact_distribution(problem: TransportProblem) -> np.ndarray:
     every history inside the position register, so the convolution tail is
     always empty.
     """
+    _check_positions(problem)
     size = problem.position_count
     positions = np.arange(size)
     region2 = positions >= problem.boundary

@@ -12,14 +12,13 @@ with theta = arcsin sqrt(p). Estimation reads p from one exact pass of A
 that closed form; `build_grover_operator` is the gate-level Q the tests
 check it against.
 
-That pass runs on the transport circuit's support (every register but
-AncR and AncP, which end in |0>) plus the flag one past it, a quarter of
-A's 2^(n+1) amplitudes; the ceiling still counts A's qubits. It writes the
-transport part at register level (`transport.apply_transport_inplace`)
-into the flag = 0 half and then runs the predicate's gates, the same ones
-`build_flag_oracle` places past the circuit, through `apply_inplace`.
-`exact_amplitude(a)` runs the whole gate-level A and is the reference the
-tests hold it to.
+The predicate oracle only copies the amplitudes of the positions it selects
+into the flag = 1 half, so that pass needs no flag: it reads the predicate's
+mass from the transport circuit's support state (`transport.support_state`,
+every register but AncR and AncP, which end in |0>), an eighth of A's
+2^(n+1) amplitudes, with `sim.mask_probability`. The ceiling still counts
+A's qubits. `exact_amplitude(a)` runs the whole gate-level A and is the
+reference the tests hold it to.
 
 Estimation is maximum-likelihood over a schedule of Grover powers: shot
 counts at each power are fused into one likelihood over theta, maximized on
@@ -50,15 +49,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, compose, inverse, phase_shift, x
+from .circuit import Circuit, compose, inverse, phase_shift, x
 from .errors import InvariantError, PredicateError
-from .sim import apply_inplace, check_width, flag_probability, zero_state
+from .sim import apply_inplace, check_width, mask_probability, zero_state
 from .transport import (
     TransportCircuit,
     TransportProblem,
-    apply_transport_inplace,
     build_region_flag,
-    transport_registers,
+    support_state,
     transport_widths,
 )
 
@@ -103,53 +101,38 @@ def parse_predicate(text: str) -> Predicate:
     return Predicate(kind, value)
 
 
-def _resolve_threshold(pred: Predicate, problem: TransportProblem) -> Predicate:
+def _resolve(pred: Predicate, problem: TransportProblem) -> Predicate:
+    """The predicate as geq or eq, region2 being geq:boundary; PredicateError
+    unless it fits the position register."""
     if pred.kind == REGION2:
         return Predicate.geq(problem.boundary)
+    value, width = pred.value, problem.x_qubits
+    if pred.kind == GEQ:
+        if value is None or value <= 0 or value & (value - 1):
+            raise PredicateError(f"geq threshold must be a power of two, got {value}")
+        if value >= (1 << width):
+            raise PredicateError(f"geq threshold {value} not below 2^{width}")
+    elif value is None or not 0 <= value < (1 << width):
+        raise PredicateError(f"eq value {value} outside the position register")
     return pred
 
 
 def predicate_mask(pred: Predicate, problem: TransportProblem) -> np.ndarray:
     """Boolean mask over position values selected by the predicate."""
-    pred = _resolve_threshold(pred, problem)
+    pred = _resolve(pred, problem)
     positions = np.arange(problem.position_count)
-    if pred.kind == GEQ:
-        _check_geq(pred.value, problem.x_qubits)
-        return positions >= pred.value
-    _check_eq(pred.value, problem.x_qubits)
-    return positions == pred.value
-
-
-def _check_geq(threshold, width: int) -> None:
-    if threshold is None or threshold <= 0 or threshold & (threshold - 1):
-        raise PredicateError(f"geq threshold must be a power of two, got {threshold}")
-    if threshold >= (1 << width):
-        raise PredicateError(f"geq threshold {threshold} not below 2^{width}")
-
-
-def _check_eq(value, width: int) -> None:
-    if value is None or not 0 <= value < (1 << width):
-        raise PredicateError(f"eq value {value} outside the position register")
-
-
-def _predicate_gates(problem: TransportProblem, pred: Predicate, flag: int) -> tuple[Gate, ...]:
-    """Gates flipping the `flag` qubit iff the X register, on the lowest
-    qubits, satisfies the predicate."""
-    pred = _resolve_threshold(pred, problem)
-    x_register = transport_registers(problem)["X"]
-    if pred.kind == GEQ:
-        _check_geq(pred.value, len(x_register))
-        return build_region_flag(x_register, pred.value, flag).gates
-    _check_eq(pred.value, len(x_register))
-    controls = [(q, bool((pred.value >> i) & 1)) for i, q in enumerate(x_register)]
-    return (x(flag, controls),)
+    return positions >= pred.value if pred.kind == GEQ else positions == pred.value
 
 
 def build_flag_oracle(tc: TransportCircuit, pred: Predicate) -> Circuit:
     """Circuit flipping the flag iff the X register satisfies the predicate;
     the flag is a new qubit past the transport circuit, registered as "flag"."""
-    flag = tc.circuit.qubit_count
-    gates = _predicate_gates(tc.problem, pred, flag)
+    pred = _resolve(pred, tc.problem)
+    flag, x_register = tc.circuit.qubit_count, tc.registers["X"]
+    if pred.kind == GEQ:
+        gates = build_region_flag(x_register, pred.value, flag).gates
+    else:
+        gates = (x(flag, [(q, bool((pred.value >> i) & 1)) for i, q in enumerate(x_register)]),)
     return Circuit(flag + 1, gates, {**tc.registers, "flag": (flag,)})
 
 
@@ -189,26 +172,22 @@ def exact_amplitude(a: Circuit) -> float:
     flag = _flag(a)
     amplitudes = zero_state(a.qubit_count)
     apply_inplace(amplitudes, a)
-    return flag_probability(amplitudes, flag)
+    return mask_probability(amplitudes, np.repeat([False, True], 1 << flag))
 
 
 def predicate_probability(problem: TransportProblem, pred: Predicate) -> float:
     """Flag |1> probability of A|0> for
     A = build_a_operator(build_transport_circuit(problem), pred).
 
-    The width check counts A's qubits, but the state holds only the
-    transport circuit's support plus the flag one past it: 2^(n-1)
-    amplitudes for an n-qubit transport circuit, since AncR and AncP end in
-    |0>. The register-level pass writes the flag = 0 half, then the
-    predicate's gates run on the flag past the support.
+    The oracle copies the selected positions' amplitudes into A's flag = 1
+    half, so this is their mass in the transport support state; it is summed
+    as the flag half would be, block by block in the same order, so the bits
+    match. The predicate is checked first and the width check counts A's
+    qubits; the only state-sized array is the support.
     """
-    n, support = transport_widths(problem)
-    gates = _predicate_gates(problem, pred, support)
-    check_width(n + 1)
-    amplitudes = zero_state(support + 1)
-    apply_transport_inplace(amplitudes[: 1 << support], problem)
-    apply_inplace(amplitudes, Circuit(support + 1, gates))
-    return flag_probability(amplitudes, support)
+    _resolve(pred, problem)
+    check_width(transport_widths(problem)[0] + 1)
+    return mask_probability(support_state(problem), predicate_mask(pred, problem))
 
 
 def check_powers(powers) -> tuple[int, ...]:

@@ -11,7 +11,7 @@ index arrays are built. `transport.apply_transport_inplace` writes the
 transport circuit's state at register level instead, and the tests hold it
 to this kernel; both end with `check_norm`. `check_width` is the ceiling
 check of `zero_state` on its own, for callers whose state is narrower than
-their circuit. `marginal`, `low_marginal` and `flag_probability` read the
+their circuit. `marginal`, `low_marginal` and `mask_probability` read the
 same layout; the last two square and sum a block of amplitudes at a time,
 so their scratch is one block, not a float64 copy of the state.
 
@@ -196,19 +196,30 @@ def low_marginal(amplitudes: np.ndarray, width: int) -> np.ndarray:
     return probs
 
 
-def flag_probability(amplitudes: np.ndarray, qubit: int) -> float:
-    """Probability that the given qubit reads |1>, summed over consecutive
-    blocks of 2^16 amplitudes, so the scratch is one block."""
-    if not 0 <= qubit < len(amplitudes).bit_length() - 1:
-        raise InvariantError(f"qubit {qubit} out of range")
-    low = 1 << qubit
+def mask_probability(amplitudes: np.ndarray, mask) -> float:
+    """Probability that the register on the lowest log2(len(mask)) qubits
+    takes a value where the boolean `mask` holds.
+
+    The squares are summed a block of 2^16 amplitudes at a time, in memory
+    order, in one reused buffer with the entries outside the mask zeroed;
+    the mask is tiled to at most a block, never past the state. Raises
+    InvariantError unless len(mask) is a power of two no longer than the state.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if len(mask) & (len(mask) - 1) or not 0 < len(mask) <= len(amplitudes):
+        raise InvariantError(
+            f"mask length {len(mask)} is not a power of two up to {len(amplitudes)} amplitudes"
+        )
+    step = min(_BLOCK, len(amplitudes))
+    outside = np.tile(~mask, max(1, step // len(mask)))
+    squares = np.empty(step)
     total = 0.0
-    for start in range(0, len(amplitudes), _BLOCK):
-        block = amplitudes[start : start + _BLOCK]
-        if low < len(block):  # the block holds whole (qubit = 0, qubit = 1) pairs
-            total += _squares(block.reshape(-1, 2, low)[:, 1]).sum()
-        elif start & low:  # the block lies inside the qubit = 1 half of a pair
-            total += _squares(block).sum()
+    for start in range(0, len(amplitudes), step):
+        np.abs(amplitudes[start : start + step], out=squares)
+        np.square(squares, out=squares)
+        offset = start % len(outside)
+        np.copyto(squares, 0.0, where=outside[offset : offset + step])
+        total += squares.sum()
     return float(total)
 
 

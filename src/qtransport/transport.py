@@ -32,11 +32,12 @@ one array operation per gadget instead of one pass over the state per gate
 (~50 per flight). It reads only the layout, builds no gates, and writes
 only the support: AncR and AncP end every flight in |0>, so the state
 lives on X, D_m and R_m, a quarter of the circuit's 2^n amplitudes.
-`transport_distribution` (and so `exact`, `mc --mode circuit`) and
-`qae.predicate_probability` use it; both check the ceiling against the
-circuit's width (A's, for `qae`) before they allocate the smaller array. The tests hold the
-pass to `sim.apply_inplace` on the gate-level circuit, with the support
-embedded in a zero full state.
+`support_state` checks the ceiling against the circuit's width, allocates
+the support and runs the pass; every command that needs the state reads
+this one array: `transport_distribution` (`exact`, `mc --mode circuit`)
+takes its X marginal and `qae.predicate_probability` its predicate mass.
+The tests hold the pass to `sim.apply_inplace` on the gate-level circuit,
+with the support embedded in a zero full state.
 """
 from __future__ import annotations
 
@@ -285,24 +286,6 @@ class TransportCircuit:
     def registers(self):
         return self.circuit.registers
 
-    @property
-    def x_register(self) -> tuple[int, ...]:
-        return self.registers["X"]
-
-    @property
-    def anc_r_qubit(self) -> int:
-        return self.registers["AncR"][0]
-
-    @property
-    def anc_p_qubit(self) -> int:
-        return self.registers["AncP"][0]
-
-    def d_register(self, flight: int) -> tuple[int, ...]:
-        return self.registers[f"D{flight}"]
-
-    def r_qubit(self, flight: int) -> int:
-        return self.registers[f"R{flight}"][0]
-
 
 def transport_registers(problem: TransportProblem) -> dict[str, tuple[int, ...]]:
     """Register layout of the transport circuit, LSB-first within each
@@ -497,15 +480,19 @@ def _roll_x(slab: np.ndarray, d: int) -> None:
                 group[...] = np.roll(group, d, axis=-1)
 
 
-def transport_distribution(problem: TransportProblem) -> np.ndarray:
-    """Final-position probabilities: the X marginal of the support state.
-
-    The width check counts the circuit's qubits before the smaller support
-    array is allocated, and the marginal is summed a block of rows at a
-    time, so the only state-sized array is the support itself.
-    """
+def support_state(problem: TransportProblem) -> np.ndarray:
+    """The transport circuit's final state on its support, written by
+    `apply_transport_inplace`; the width check counts the circuit's qubits
+    before the smaller support array is allocated."""
     n, support = transport_widths(problem)
     sim.check_width(n)
     amplitudes = sim.zero_state(support)
     apply_transport_inplace(amplitudes, problem)
-    return sim.low_marginal(amplitudes, problem.x_qubits)
+    return amplitudes
+
+
+def transport_distribution(problem: TransportProblem) -> np.ndarray:
+    """Final-position probabilities: the X marginal of the support state,
+    summed a block of rows at a time, so the support is the only
+    state-sized array."""
+    return sim.low_marginal(support_state(problem), problem.x_qubits)

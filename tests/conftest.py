@@ -1,12 +1,19 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 
 from qtransport import RegionSpec, TransportProblem
-from qtransport.qae import build_grover_operator
-from qtransport.sim import apply_inplace, flag_probability, zero_state
-from qtransport.transport import MOVE
+from qtransport.circuit import Circuit
+from qtransport.qae import build_flag_oracle, build_grover_operator
+from qtransport.sim import _BLOCK, apply_inplace, check_width, marginal, zero_state
+from qtransport.transport import (
+    MOVE,
+    apply_transport_inplace,
+    build_transport_circuit,
+    transport_widths,
+)
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -81,9 +88,10 @@ def support_slice(full: np.ndarray, tc) -> np.ndarray:
     """View of a full transport-circuit state where AncR = AncP = 0, one row
     per value of the support's other registers and one column per position,
     in the support's order: AncR sits just above X and AncP on the top qubit."""
-    assert tc.anc_r_qubit == len(tc.x_register)
-    assert tc.anc_p_qubit == tc.circuit.qubit_count - 1
-    return full.reshape(2, -1, 2, 1 << tc.anc_r_qubit)[0, :, 0]
+    (anc_r,), (anc_p,) = tc.registers["AncR"], tc.registers["AncP"]
+    assert anc_r == len(tc.registers["X"])
+    assert anc_p == tc.circuit.qubit_count - 1
+    return full.reshape(2, -1, 2, 1 << anc_r)[0, :, 0]
 
 
 def embed_support(support: np.ndarray, tc) -> np.ndarray:
@@ -108,8 +116,39 @@ def simulated_grover_probabilities(a, powers) -> np.ndarray:
         while current < m:
             apply_inplace(state, q)
             current += 1
-        by_power[m] = flag_probability(state, flag)
+        by_power[m] = marginal(state, (flag,))[1]
     return np.array([by_power[m] for m in powers])
+
+
+def top_half_probability(amplitudes: np.ndarray) -> float:
+    """|1> probability of the top qubit as the removed `sim.flag_probability`
+    summed it: the top half squared and summed a block of 2^16 amplitudes at
+    a time, or in one piece when the whole state is one block."""
+    half = len(amplitudes) // 2
+    total = 0.0
+    for start in range(0, len(amplitudes), _BLOCK):
+        block = amplitudes[start : start + _BLOCK]
+        if half < len(block):
+            total += np.square(np.abs(block.reshape(-1, 2, half)[:, 1])).sum()
+        elif start & half:  # the block lies inside the top half
+            total += np.square(np.abs(block)).sum()
+    return float(total)
+
+
+def flag_half_predicate_probability(problem: TransportProblem, pred) -> float:
+    """`qae.predicate_probability` as it was computed on the support plus
+    A's flag one past it: the register-level pass into the flag = 0 half,
+    the predicate's gates through the gate kernel, then the flag read. The
+    reference the masked read of the support state is held to bit for bit."""
+    n, support = transport_widths(problem)
+    # the oracle's gates read only X, so only the flag moves to the support's top
+    oracle = build_flag_oracle(build_transport_circuit(problem), pred)
+    gates = [dataclasses.replace(g, targets=(support,)) for g in oracle.gates]
+    check_width(n + 1)
+    amplitudes = zero_state(support + 1)
+    apply_transport_inplace(amplitudes[: 1 << support], problem)
+    apply_inplace(amplitudes, Circuit(support + 1, gates))
+    return top_half_probability(amplitudes)
 
 
 def full_draw_counts(problem: TransportProblem, shots: int, rng: np.random.Generator) -> np.ndarray:

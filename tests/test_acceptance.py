@@ -113,8 +113,8 @@ def test_c2_gadget_exhaustiveness(table_a1):
         sim.apply_inplace(state, tc.circuit)
         anc_worst = max(
             anc_worst,
-            sim.flag_probability(state, tc.anc_p_qubit),
-            sim.flag_probability(state, tc.anc_r_qubit),
+            sim.marginal(state, tc.registers["AncP"])[1],
+            sim.marginal(state, tc.registers["AncR"])[1],
         )
 
     finish(
@@ -151,8 +151,8 @@ def test_c3_loader_fidelity():
     region1, region2 = basis_state(2, 0), basis_state(2, 1)
     sim.apply_inplace(region1, rotation)
     sim.apply_inplace(region2, rotation)
-    p_region1 = sim.flag_probability(region1, 1)
-    p_region2 = sim.flag_probability(region2, 1)
+    p_region1 = sim.marginal(region1, (1,))[1]
+    p_region2 = sim.marginal(region2, (1,))[1]
     reaction_err = max(abs(p_region1 - 0.75), abs(p_region2 - 0.60))
 
     finish(

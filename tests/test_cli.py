@@ -55,7 +55,7 @@ def gate_level_csv(doc) -> str:
     tc = build_transport_circuit(parse_problem_dict(doc))
     amplitudes = sim.zero_state(tc.circuit.qubit_count)
     sim.apply_inplace(amplitudes, tc.circuit)
-    rows = enumerate(sim.marginal(amplitudes, tc.x_register))
+    rows = enumerate(sim.marginal(amplitudes, tc.registers["X"]))
     return "position,probability\n" + "".join(f"{i},{float(p)!r}\n" for i, p in rows)
 
 
@@ -314,6 +314,16 @@ class TestExitCodes:
         assert result.stderr.startswith("error: ")
         assert "8.00 PiB" in result.stderr
         assert "Traceback" not in result.stderr
+        # from 2^60 positions numpy cannot index the vectors at all (it says
+        # ValueError, not MemoryError); the budget still needs no state
+        for x_qubits in (60, 63, 100):
+            path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=x_qubits)))
+            result = run_cli(*args, "-p", str(path))
+            assert result.returncode == 4, x_qubits
+            assert result.stderr.startswith("error: ")
+            assert f"{8 << x_qubits} bytes" in result.stderr
+            assert "Traceback" not in result.stderr
+            assert run_cli("resources", "-p", str(path)).returncode == 0
 
     def test_past_ceiling_exits_4_before_allocating(self, tmp_path, monkeypatch, capsys):
         # x_qubits 7 and 7 flights make a 29-qubit circuit, an 8 GiB state
@@ -342,7 +352,7 @@ class TestExitCodes:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=7, max_flights=6)))
         monkeypatch.delenv("QTRANSPORT_MAX_QUBITS", raising=False)
-        monkeypatch.setattr(qae, "apply_transport_inplace", fail)
+        monkeypatch.setattr(transport, "apply_transport_inplace", fail)
         tracemalloc.start()
         try:
             assert main(["qae", "-p", str(path), "--predicate", "region2"]) == 4

@@ -37,7 +37,14 @@ from qtransport.transport import (
     transport_distribution,
 )
 
-from conftest import embed_support, full_draw_counts, random_problem, support_slice
+from conftest import (
+    embed_support,
+    flag_half_predicate_probability,
+    full_draw_counts,
+    random_problem,
+    support_slice,
+    top_half_probability,
+)
 
 DETERMINISTIC = settings(derandomize=True, database=None, deadline=None, max_examples=20)
 
@@ -77,6 +84,24 @@ def test_register_level_flag_probability_matches_gate_level(seed, kind, v):
     pred = draw_predicate(kind, v, problem)
     want = exact_amplitude(build_a_operator(build_transport_circuit(problem), pred))
     assert abs(predicate_probability(problem, pred) - want) <= 1e-12
+
+
+@DETERMINISTIC
+@given(seed=problem_seeds, kind=predicate_kinds, v=st.integers(0, 31))
+def test_masked_support_read_is_the_flag_half_bitwise(seed, kind, v):
+    problem = draw_problem(seed)
+    pred = draw_predicate(kind, v, problem)
+    assert predicate_probability(problem, pred) == flag_half_predicate_probability(problem, pred)
+
+
+@DETERMINISTIC
+@given(seed=problem_seeds, kind=predicate_kinds, v=st.integers(0, 31))
+def test_masked_flag_read_is_the_top_half_bitwise(seed, kind, v):
+    problem = draw_problem(seed)
+    a = build_a_operator(build_transport_circuit(problem), draw_predicate(kind, v, problem))
+    state = zero_state(a.qubit_count)
+    apply_inplace(state, a)
+    assert exact_amplitude(a) == top_half_probability(state)
 
 
 @DETERMINISTIC

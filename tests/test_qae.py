@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,9 +27,15 @@ from qtransport.qae import (
     predicate_probability,
     theta_from_hits,
 )
-from qtransport.transport import build_region_flag, build_transport_circuit
+from qtransport.transport import build_region_flag, build_transport_circuit, transport_widths
 
-from conftest import basis_state, random_problem, simulated_grover_probabilities
+from conftest import (
+    TABLE_A1_REGIONS,
+    basis_state,
+    flag_half_predicate_probability,
+    random_problem,
+    simulated_grover_probabilities,
+)
 
 
 def no_motion_problem():
@@ -75,7 +82,7 @@ class TestFlagOracle:
         assert oracle.qubit_count == 15 and oracle.registers["flag"] == (14,)
         state = basis_state(15, 0)
         sim.apply_inplace(state, oracle)
-        assert sim.flag_probability(state, 14) == 1.0
+        assert sim.marginal(state, (14,))[1] == 1.0
 
     def test_geq_matches_region_flag_gadget(self, table_a1):
         tc = build_transport_circuit(table_a1)
@@ -130,6 +137,33 @@ class TestPredicateProbability:
         v = seed % problem.position_count
         preds = Predicate.region2(), Predicate.geq(problem.boundary), Predicate.eq(v)
         self.assert_matches_gate_level(problem, preds)
+
+    # supports past a 2^16-amplitude block: 17 qubits, and 19 with x_qubits
+    # 17, where one row of positions is wider than a block
+    @pytest.mark.parametrize("x_qubits, flights, support", [(9, 3, 17), (17, 1, 19)])
+    def test_wide_support_is_the_flag_half_bitwise(self, x_qubits, flights, support):
+        problem = TransportProblem(
+            x_qubits=x_qubits, max_flights=flights, boundary=1, regions=TABLE_A1_REGIONS
+        )
+        assert transport_widths(problem)[1] == support
+        for pred in Predicate.region2(), Predicate.geq(2), Predicate.eq(1):
+            want = flag_half_predicate_probability(problem, pred)
+            assert want > 0.0
+            assert predicate_probability(problem, pred) == want, pred
+
+    def test_peak_is_one_support(self):
+        # x_qubits 7, 4 flights, d_max 3: an 18-qubit support, 4 MiB; the
+        # flag half alone would double it
+        problem = TransportProblem(x_qubits=7, max_flights=4, boundary=4, regions=TABLE_A1_REGIONS)
+        support = transport_widths(problem)[1]
+        assert support == 18
+        tracemalloc.start()
+        try:
+            predicate_probability(problem, Predicate.geq(8))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < (16 << support) + (1 << 20)
 
     def test_state_has_the_width_of_a(self, table_a1, monkeypatch):
         # the transport circuit fits a 14-qubit ceiling; A needs 15

@@ -10,9 +10,9 @@ from qtransport.errors import CapacityError, InvariantError
 from qtransport.sim import (
     MAX_QUBITS_ENV,
     apply_inplace,
-    flag_probability,
     low_marginal,
     marginal,
+    mask_probability,
     sample,
     zero_state,
 )
@@ -260,23 +260,29 @@ class TestLowMarginal:
         np.testing.assert_array_equal(state, before)
 
 
+def flag_mask(qubit: int) -> np.ndarray:
+    """Mask over the qubits up to `qubit` selecting the values with it set."""
+    return np.arange(2 << qubit) >= 1 << qubit
+
+
 class TestFlagProbability:
+    # a qubit's |1> probability read through mask_probability
     def test_zero_state(self):
-        assert flag_probability(zero_state(3), 1) == 0.0
+        assert mask_probability(zero_state(3), flag_mask(1)) == 0.0
 
     def test_after_x(self):
         state = zero_state(3)
         apply_inplace(state, Circuit(3, (x(1),)))
-        assert flag_probability(state, 1) == 1.0
+        assert mask_probability(state, flag_mask(1)) == 1.0
 
     def test_reaction_angle(self):
         state = zero_state(1)
         apply_inplace(state, Circuit(1, (ry(THETA_REGION1, 0),)))
-        assert abs(flag_probability(state, 0) - 0.75) < 1e-12
+        assert abs(mask_probability(state, flag_mask(0)) - 0.75) < 1e-12
 
     def test_out_of_range(self):
         with pytest.raises(InvariantError):
-            flag_probability(zero_state(2), 2)
+            mask_probability(zero_state(2), flag_mask(2))
 
     # qubits below, at and above the 2^16-amplitude block of an 18-qubit state
     @pytest.mark.parametrize("qubit", [0, 5, 15, 16, 17])
@@ -284,7 +290,52 @@ class TestFlagProbability:
         state = random_state(18, qubit)
         bits = (np.arange(len(state)) >> qubit) & 1
         want = np.sum(np.abs(state[bits == 1]) ** 2)
-        assert abs(flag_probability(state, qubit) - want) <= 1e-12
+        assert abs(mask_probability(state, flag_mask(qubit)) - want) <= 1e-12
+
+
+class TestMaskProbability:
+    @pytest.mark.parametrize("length", [0, 3, 6, 16])
+    def test_bad_mask_length(self, length):
+        # not a power of two, or longer than the 8-amplitude state
+        with pytest.raises(InvariantError):
+            mask_probability(zero_state(3), np.ones(length, dtype=bool))
+
+    # masks shorter than, as long as and longer than a 2^16-amplitude block
+    @pytest.mark.parametrize("width", [1, 5, 16, 17, 18])
+    def test_matches_direct_sum(self, width):
+        state = random_state(18, width)
+        mask = np.random.default_rng(width).random(1 << width) < 0.4
+        want = np.sum(np.abs(state[np.tile(mask, len(state) >> width)]) ** 2)
+        assert abs(mask_probability(state, mask) - want) <= 1e-12
+
+    def test_accepts_a_list(self):
+        state = random_state(3, 1)
+        want = np.sum(np.abs(state[1::2]) ** 2)
+        assert mask_probability(state, [False, True]) == pytest.approx(want, abs=1e-15)
+
+    def test_top_qubit_read_is_the_half_sum(self):
+        # with the flag on the top qubit, the masked read adds zeros where the
+        # half sum has nothing, so the two agree bit for bit
+        for n in (4, 10, 17, 18):
+            state = random_state(n, n)
+            half = state[len(state) // 2 :]
+            blocks = [half[k : k + sim._BLOCK] for k in range(0, len(half), sim._BLOCK)]
+            want = 0.0
+            for block in blocks:
+                want += np.square(np.abs(block)).sum()
+            assert mask_probability(state, flag_mask(n - 1)) == float(want), n
+
+    def test_scratch_is_one_block(self):
+        state = random_state(18, 3)
+        mask = np.arange(1 << 17) % 3 == 0
+        tracemalloc.start()
+        try:
+            mask_probability(state, mask)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one float64 block, the inverted mask and small change
+        assert peak < 8 * sim._BLOCK + 2 * len(mask) + (16 << 10)
 
 
 class TestSample:

@@ -193,7 +193,7 @@ class TestReactionRotation:
         c = build_reaction_rotation(TABLE_A1_REGIONS, 0, 1)
         state = basis_state(2, anc_value)
         sim.apply_inplace(state, c)
-        return sim.flag_probability(state, 1)
+        return sim.marginal(state, (1,))[1]
 
     def test_region1_scatter_probability(self):
         assert abs(self.probability(0) - 0.75) < 1e-12
@@ -310,11 +310,11 @@ class TestTransportCircuit:
         tc = build_transport_circuit(table_a1)
         mcts = [
             g for g in tc.circuit.gates
-            if g.kind is GateKind.PAULI_X and g.targets == (tc.anc_p_qubit,) and g.controls
+            if g.kind is GateKind.PAULI_X and g.targets == tc.registers["AncP"] and g.controls
         ]
         assert len(mcts) == 4
         assert [len(g.controls) for g in mcts] == [1, 1, 2, 2]
-        r2, r3 = tc.r_qubit(2), tc.r_qubit(3)
+        (r2,), (r3,) = tc.registers["R2"], tc.registers["R3"]
         assert {q for q, _ in mcts[0].controls} == {r2}
         assert {q for q, _ in mcts[2].controls} == {r2, r3}
 
@@ -345,19 +345,20 @@ class TestTransportCircuit:
         for problem in [table_a1] + [random_problem(rng) for _ in range(20)]:
             tc = build_transport_circuit(problem)
             assembled = set(tc.circuit.gates)
-            anc_r, d_register = tc.anc_r_qubit, tc.d_register
+            registers = tc.registers
+            (anc_r,), (anc_p,) = registers["AncR"], registers["AncP"]
             for m in range(1, problem.max_flights + 1):
                 gated = any(problem.has_reaction(j) for j in range(1, m + 1))
                 gadgets = [
-                    add_controls(build_distribution_loader(spec.distance_pmf, d_register(m)),
+                    add_controls(build_distribution_loader(spec.distance_pmf, registers[f"D{m}"]),
                                  [(anc_r, polarity)])
                     for polarity, spec in ((False, problem.regions[0]), (True, problem.regions[1]))
                 ]
                 gadgets.append(build_controlled_adder(
-                    tc.x_register, d_register(m), tc.anc_p_qubit if gated else None
+                    registers["X"], registers[f"D{m}"], anc_p if gated else None
                 ))
                 if problem.has_reaction(m):
-                    gadgets.append(build_reaction_rotation(problem.regions, anc_r, tc.r_qubit(m)))
+                    gadgets.append(build_reaction_rotation(problem.regions, anc_r, registers[f"R{m}"][0]))
                 for gadget in gadgets:
                     assert gadget.gates and set(gadget.gates) <= assembled, (problem, m)
 
@@ -365,8 +366,8 @@ class TestTransportCircuit:
         tc = build_transport_circuit(table_a1)
         state = sim.zero_state(tc.circuit.qubit_count)
         sim.apply_inplace(state, tc.circuit)
-        assert sim.flag_probability(state, tc.anc_p_qubit) < 1e-12
-        assert sim.flag_probability(state, tc.anc_r_qubit) < 1e-12
+        assert sim.marginal(state, tc.registers["AncP"])[1] < 1e-12
+        assert sim.marginal(state, tc.registers["AncR"])[1] < 1e-12
 
 
 class TestOracleEquivalence:
