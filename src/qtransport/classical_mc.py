@@ -12,23 +12,27 @@ the surviving mass; with "post_flight" the mass moves first and is split at
 the landing position (which gates the next flight). The reaction deciding
 any given flight reads the same region either way, so the two timings yield
 identical final-position distributions. `TransportProblem.steps` gives one
-step sequence per timing, and the sampler and the oracle each run one loop
-over it, so that claim stays checkable.
+step sequence per timing, and the oracle and the sampler each run one loop
+over it (the sampler less a trailing reaction), so that claim stays
+checkable.
 
 `run_tally` runs a batch of histories, one block of 2^16 (`sim._BLOCK`) at
 a time, and works only on those still in flight: an absorbed history's
 position is recorded at once and the history dropped. `run_history` is
-that batch sampler run for one shot. Three rules keep every seeded output fixed:
+that batch sampler run for one shot. Three rules fix every seeded output:
 
-- history i at draw site t reads PCG64 output t*shots + i, whatever the
-  block size and however many histories are still alive; `advance` places
-  each draw there, so a block draws only the span of its live histories,
-  and nothing once none is left;
-- the generator ends len(steps)*shots outputs past its start, with its
-  buffered 32-bit half as it was, because `run_history` shares the caller's
-  generator and each call must advance it by the same amount;
+- blocks run in order, and at each draw site a block draws one uniform per
+  live history, which the live histories read in block-offset order; so a
+  block draws nothing once none is left, and any bit generator will do;
+- a reaction after the last flight moves no history and is not run (the
+  oracle's `problem.steps()` keeps it), so the post-flight loop runs the
+  pre-flight loop's steps, and the two timings give the same tally for a
+  seed;
 - a flight distance is the number of k < d_max with u >= cdf[k], which for
   a monotone cdf equals min(searchsorted(cdf, u, "right"), d_max) exactly.
+
+`run_history` shares the caller's generator, and advances it by the draws
+its history took.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ import numpy as np
 
 from .errors import CapacityError, InvariantError
 from .sim import _BLOCK
-from .transport import MOVE, TransportProblem
+from .transport import MOVE, REACT, TransportProblem
 
 FLIGHT_CAP = 10**6
 
@@ -133,51 +137,29 @@ def _simulate_counts(
 ) -> np.ndarray:
     """Histogram of the final positions of a batch of histories.
 
-    Histories run one block of `_BLOCK` at a time through all the steps.
-    Only live histories are worked on: `live` holds the block offsets of the
-    histories still in flight and `pos` their positions. A history absorbed
-    at a reaction has its position written to `final` at once and is dropped
-    from both arrays; the block is tallied from `final` when it ends.
+    Histories run one block of `_BLOCK` at a time, in order, through the
+    steps. Only live histories are worked on: `pos` holds the positions of
+    the histories still in flight, in block-offset order. A history absorbed
+    at a reaction has its position appended to `final` at once and is
+    dropped from `pos`; the block is tallied from `final` when it ends.
 
-    - History i at draw site t reads PCG64 output t*shots + i. Each block
-      sets the generator back to its start state once; before each draw it
-      is advanced from the end of the block's last draw to the block's
-      first live history at that site, and the span up to its last live
-      history is drawn and the live entries gathered from it. So the output
-      does not depend on the block size or on how many histories are alive,
-      and a block with no live history draws nothing more.
-    - At the end the generator is left len(steps)*shots outputs past its
-      start, as one full draw per draw site would leave it: `run_history`
-      shares the caller's generator. `advance` clears the buffered 32-bit
-      half of the state, so that is put back as it was.
+    - Each draw site takes `rng.random(len(pos))`, and the live histories
+      read the draws in block-offset order. A block with no live history
+      draws nothing more, and neither does a reaction after the last
+      flight: it moves no history, so it is not run.
     - The distance drawn by u is the number of k < d_max with
       u >= cdf[k]. The cdf is monotone, so this equals
       min(searchsorted(cdf, u, "right"), d_max) exactly.
     """
-    bit_generator = rng.bit_generator
-    if not isinstance(bit_generator, np.random.PCG64):
-        raise InvariantError(
-            f"the flowchart sampler needs a PCG64 generator, got {type(bit_generator).__name__}"
-        )
     _check_positions(problem)
-    start = bit_generator.state
     steps = problem.steps()
+    while steps and steps[-1] == REACT:
+        steps = steps[:-1]
     boundary = problem.boundary
     scatter = np.array([r.p_scatter for r in problem.regions])
     # thresholds[k] = (cdf_0[k], cdf_1[k]) for k < d_max
     thresholds = np.cumsum([r.distance_pmf for r in problem.regions], axis=1)[:, :-1].T
     counts = np.zeros(problem.position_count, dtype=np.int64)
-
-    drawn = 0  # outputs past `start` the generator stands at
-
-    def draw(site_start, live):
-        # output site_start + j for each live block offset j; within a block
-        # the sites only move forward, so each draw advances from the last
-        nonlocal drawn
-        first, last = int(live[0]), int(live[-1])
-        bit_generator.advance(site_start + first - drawn)
-        drawn = site_start + last + 1
-        return rng.random(last - first + 1).take(live - first)
 
     # Region indices are intp and masks become index arrays before gathering:
     # `take` converts a bool index array on every call, and indexing with a
@@ -192,32 +174,25 @@ def _simulate_counts(
         for cdf_k in thresholds:
             pos += u >= cdf_k.take(region)
 
-    def react(u, live, pos, final):
+    def react(u, pos, final, settled):
         keep = u < scatter.take(region_of(pos))
-        absorbed = (~keep).nonzero()[0]
-        final[live.take(absorbed)] = pos.take(absorbed)
-        kept = keep.nonzero()[0]
-        return live.take(kept), pos.take(kept)
+        absorbed = pos.take((~keep).nonzero()[0])
+        final[settled : settled + len(absorbed)] = absorbed
+        return pos.take(keep.nonzero()[0]), settled + len(absorbed)
 
     for block_start in range(0, shots, _BLOCK):
-        bit_generator.state, drawn = start, 0
         final = np.empty(min(_BLOCK, shots - block_start), dtype=np.int64)
-        live = np.arange(len(final))
         pos = np.zeros(len(final), dtype=np.int64)
-        for t, step in enumerate(steps):
-            if not len(live):
+        settled = 0  # entries of `final` written so far
+        for step in steps:
+            if not len(pos):
                 break
-            site_start = t * shots + block_start
             if step == MOVE:
-                move(draw(site_start, live), pos)
+                move(rng.random(len(pos)), pos)
             else:
-                live, pos = react(draw(site_start, live), live, pos, final)
-        final[live] = pos
+                pos, settled = react(rng.random(len(pos)), pos, final, settled)
+        final[settled:] = pos
         counts += np.bincount(final, minlength=len(counts))
-
-    buffered = {key: start[key] for key in ("has_uint32", "uinteger")}
-    bit_generator.advance(len(steps) * shots - drawn)  # from the last block's last draw
-    bit_generator.state = {**bit_generator.state, **buffered}
     return counts
 
 

@@ -62,12 +62,18 @@ def check_width(n: int) -> None:
 
 def zero_state(n: int) -> np.ndarray:
     """|0...0> as 2^n complex128 amplitudes; rejects n as `check_width`
-    does, and raises CapacityError if the allocation is refused."""
+    does, and raises CapacityError naming the bytes if the allocation is
+    refused or is past what numpy can index (numpy would raise ValueError
+    for that, not MemoryError)."""
     check_width(n)
+    nbytes = 16 << n
+    refused = f"cannot allocate {nbytes} bytes for a {n}-qubit state"
+    if nbytes > np.iinfo(np.intp).max:
+        raise CapacityError(refused)
     try:
         amplitudes = np.zeros(1 << n, dtype=np.complex128)
     except MemoryError:
-        raise CapacityError(f"cannot allocate {16 << n} bytes for a {n}-qubit state") from None
+        raise CapacityError(refused) from None
     amplitudes[0] = 1.0
     return amplitudes
 

@@ -10,6 +10,7 @@ from qtransport.qae import build_flag_oracle, build_grover_operator
 from qtransport.sim import _BLOCK, apply_inplace, check_width, marginal, zero_state
 from qtransport.transport import (
     MOVE,
+    REACT,
     apply_transport_inplace,
     build_transport_circuit,
     transport_widths,
@@ -151,26 +152,39 @@ def flag_half_predicate_probability(problem: TransportProblem, pred) -> float:
     return top_half_probability(amplitudes)
 
 
+def flowchart_steps(problem: TransportProblem) -> tuple[str, ...]:
+    """`problem.steps()` without a reaction after the last flight, which
+    moves no history: the steps the flowchart sampler draws for."""
+    steps = problem.steps()
+    while steps and steps[-1] == REACT:
+        steps = steps[:-1]
+    return steps
+
+
 def full_draw_counts(problem: TransportProblem, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """The flowchart tally as one batch that draws `rng.random(shots)` at every
-    draw site, alive or not, and has history i read entry i: the reference
-    the blocked sampler's stream placement is held to."""
-    boundary = problem.boundary
-    scatter = np.array([r.p_scatter for r in problem.regions])
-    thresholds = np.cumsum([r.distance_pmf for r in problem.regions], axis=1)[:, :-1].T
+    """The flowchart tally without compaction, the reference the compacting
+    sampler is held to bitwise. Blocks of `_BLOCK` histories run in order;
+    every history keeps its place in its block, and a boolean mask marks
+    those still in flight. Each draw site draws `rng.random(alive.sum())`,
+    scatters the draws onto the alive places in order, and applies the step
+    to the whole block with `np.where`; a distance is
+    min(searchsorted(cdf, u, "right"), d_max) of the history's region."""
+    d_max = problem.d_max
+    cdfs = np.cumsum([r.distance_pmf for r in problem.regions], axis=1)
     counts = np.zeros(problem.position_count, dtype=np.int64)
-    live = np.arange(shots)
-    pos = np.zeros(shots, dtype=np.int64)
-    for step in problem.steps():
-        u = rng.random(shots)[live]
-        region = (pos >= boundary).astype(np.intp)
-        if step == MOVE:
-            for cdf_k in thresholds:
-                pos += u >= cdf_k.take(region)
-        else:
-            keep = u < scatter.take(region)
-            counts += np.bincount(pos[~keep], minlength=len(counts))
-            live = live[keep]
-            pos = pos[keep]
-    counts += np.bincount(pos, minlength=len(counts))
+    for block_start in range(0, shots, _BLOCK):
+        size = min(_BLOCK, shots - block_start)
+        pos = np.zeros(size, dtype=np.int64)
+        alive = np.ones(size, dtype=bool)
+        for step in flowchart_steps(problem):
+            u = np.zeros(size)
+            u[np.flatnonzero(alive)] = rng.random(alive.sum())
+            high = pos >= problem.boundary
+            if step == MOVE:
+                low_d, high_d = (np.minimum(np.searchsorted(cdf, u, "right"), d_max) for cdf in cdfs)
+                pos = np.where(alive, pos + np.where(high, high_d, low_d), pos)
+            else:
+                scatter = np.where(high, problem.regions[1].p_scatter, problem.regions[0].p_scatter)
+                alive &= u < scatter
+        counts += np.bincount(pos, minlength=len(counts))
     return counts

@@ -18,8 +18,9 @@ from qtransport.classical_mc import (
 )
 from qtransport.errors import InvariantError
 from qtransport.sim import _BLOCK
+from qtransport.transport import MOVE
 
-from conftest import HAND_P_ZERO, full_draw_counts, random_problem
+from conftest import HAND_P_ZERO, flowchart_steps, full_draw_counts, random_problem
 
 E = math.e
 
@@ -33,6 +34,44 @@ def single_region(pmf, p_absorb, x_qubits=5, flights=3, **kw):
         regions=(spec, spec),
         **kw,
     )
+
+
+def chi2_sf(x: float, dof: int) -> float:
+    """P(X >= x) for X chi-square with `dof` degrees of freedom: the closed
+    forms of the regularized upper incomplete gamma Q(dof/2, x/2), a finite
+    sum for even dof and erfc plus a finite sum for odd dof."""
+    half = x / 2
+    if dof % 2:
+        # Q(1/2, h) = erfc(sqrt(h)), plus terms e^-h h^(j+1/2) / Gamma(j+3/2)
+        total = math.erfc(math.sqrt(half))
+        term, j = 2 * math.exp(-half) * math.sqrt(half / math.pi), 1.5
+    else:
+        # terms e^-h h^j / j!
+        total = 0.0
+        term, j = math.exp(-half), 1.0
+    for _ in range(dof // 2):
+        total += term
+        term *= half / j
+        j += 1
+    return total
+
+
+def chi_square_p(counts: np.ndarray, exact: np.ndarray) -> float:
+    """p-value of Pearson's chi-square test of a tally against the oracle,
+    with adjacent bins pooled until each expects at least 5 counts (a tail
+    that expects fewer joins the last pool)."""
+    # pooling would hide a count where the oracle puts no mass
+    assert not counts[exact == 0].any()
+    expected = counts.sum() * exact
+    pools, observed, mass = [], 0, 0.0
+    for c, e in zip(counts, expected):
+        observed, mass = observed + c, mass + e
+        if mass >= 5:
+            pools.append((observed, mass))
+            observed, mass = 0, 0.0
+    pools[-1] = (pools[-1][0] + observed, pools[-1][1] + mass)
+    stat = sum((o - e) ** 2 / e for o, e in pools)
+    return chi2_sf(stat, len(pools) - 1)
 
 
 class TestStreams:
@@ -147,13 +186,13 @@ class TestRunHistory:
         outcomes = {run_history(problem, make_stream(s)) for s in range(5)}
         assert outcomes == {0}  # absorbed at the source before any flight
 
-    # Recorded from the scalar history loop that `run_history` used to be:
-    # 30 histories read from one stream. The numbered cases are the problems
-    # random_problem drew for those seeds when the goldens were recorded,
-    # written out so that a change to the generator cannot move them (seed
-    # 9's second region has the pmf (1, 0), which random_pmf no longer
-    # draws). They cover both reaction timings, with first_flight_always
-    # False for 31 and 24.
+    # Recorded when each draw site began to take one uniform per live
+    # history: 30 histories read from one stream. The numbered cases are the
+    # problems random_problem drew for those seeds when the goldens were
+    # first recorded, written out so that a change to the generator cannot
+    # move them (seed 9's second region has the pmf (1, 0), which
+    # random_pmf no longer draws). They cover both reaction timings, with
+    # first_flight_always False for 31 and 24.
     PROBLEMS = {
         15: TransportProblem(
             x_qubits=5, max_flights=3, boundary=2, regions=(
@@ -181,16 +220,16 @@ class TestRunHistory:
             ), first_flight_always=False, reaction_timing="post_flight"),
     }
     GOLDEN = {
-        "table_a1": [1, 3, 2, 3, 4, 3, 1, 0, 4, 4, 3, 2, 0, 1, 2,
-               4, 0, 2, 0, 1, 2, 0, 0, 0, 2, 2, 6, 3, 0, 2],
-        15: [2, 0, 2, 3, 1, 2, 0, 0, 2, 1, 2, 2, 3, 1, 3,
-             0, 2, 2, 3, 2, 2, 2, 3, 1, 2, 2, 2, 2, 0, 2],
-        9: [3, 1, 1, 1, 3, 0, 0, 2, 2, 2, 3, 1, 3, 2, 2,
-            2, 2, 1, 1, 1, 2, 1, 0, 0, 0, 1, 1, 2, 0, 1],
-        31: [0, 0, 0, 0, 3, 0, 3, 0, 0, 0, 0, 0, 0, 0, 3,
-             3, 0, 0, 3, 1, 0, 0, 0, 2, 6, 0, 3, 0, 3, 0],
-        24: [2, 3, 1, 1, 2, 2, 2, 3, 2, 3, 0, 4, 0, 2, 0,
-             2, 1, 2, 4, 1, 0, 1, 4, 0, 0, 2, 3, 3, 4, 1],
+        "table_a1": [1, 3, 2, 0, 6, 2, 0, 3, 2, 4, 1, 4, 3, 2, 0,
+                     3, 1, 0, 2, 1, 0, 5, 3, 5, 5, 2, 6, 3, 3, 1],
+        15: [2, 1, 2, 2, 2, 2, 2, 0, 1, 2, 1, 2, 2, 1, 0,
+             0, 0, 1, 0, 0, 2, 6, 0, 2, 2, 2, 3, 3, 1, 3],
+        9: [3, 2, 1, 3, 1, 3, 2, 0, 1, 2, 2, 2, 2, 2, 2,
+            2, 1, 2, 2, 1, 1, 1, 2, 1, 1, 2, 0, 2, 0, 1],
+        31: [0, 0, 3, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0,
+             6, 0, 0, 0, 0, 0, 3, 0, 0, 0, 0, 1, 0, 0, 3],
+        24: [2, 1, 2, 2, 1, 1, 2, 2, 2, 2, 4, 2, 2, 3, 1,
+             2, 3, 2, 0, 0, 0, 1, 3, 2, 0, 0, 1, 2, 0, 3],
     }
 
     @pytest.mark.parametrize("case", ["table_a1", 15, 9, 31, 24])
@@ -207,16 +246,18 @@ class TestRunHistory:
          ("post_flight", True, 6), ("post_flight", False, 7)],
     )
     def test_stream_advance_after_absorption(self, timing, first, sites):
-        # absorbed at its first reaction, the history must still take one
-        # draw per draw site, or the caller's next history reads a shifted
-        # stream
+        # of the problem's `sites` draw sites, a history absorbed at its
+        # first reaction draws only up to that reaction (one draw for an
+        # ungated first flight, one for the reaction), and the caller's next
+        # history reads on from there
         problem = single_region(
             [0.5, 0.5], 1.0, flights=3, first_flight_always=first, reaction_timing=timing
         )
+        assert len(problem.steps()) == sites
         rng = make_stream(4)
         run_history(problem, rng)
         fresh = make_stream(4)
-        fresh.random(sites)
+        fresh.random(2 if first else 1)
         assert rng.random() == fresh.random()
 
     def test_distribution_against_oracle(self, table_a1):
@@ -231,41 +272,43 @@ class TestRunHistory:
 
 
 class TestRunTally:
-    # Recorded before the sampler worked on live histories only: counts of
-    # 20k shots with seed 3, trailing zero bins dropped. The pre- and
-    # post-flight loops read the stream alike except for the post-flight
-    # loop's last reaction, which moves no history, so the two timings share
-    # a golden.
+    # Recorded when each draw site began to take one uniform per live
+    # history, after `test_golden_tally_passes_chi_square` passed on the
+    # same tallies: counts of 20k shots with seed 3, trailing zero bins
+    # dropped. The pre- and post-flight loops run the same steps once the
+    # post-flight loop's last reaction, which moves no history, is dropped,
+    # so the two timings share a golden.
     GOLDEN = {
         "first": [
-            114, 230, 437, 648, 354, 432, 475, 381, 425, 453, 384, 395, 384, 346, 376,
-            350, 361, 372, 312, 338, 304, 282, 333, 288, 280, 271, 256, 263, 271, 246,
-            234, 225, 207, 213, 251, 219, 208, 175, 193, 190, 196, 177, 154, 161, 170,
-            192, 177, 138, 155, 164, 165, 166, 174, 178, 162, 209, 228, 233, 255, 293,
-            307, 316, 358, 360, 612, 589, 500, 284, 199, 113, 57, 39, 30, 9, 2, 0, 2,
+            116, 235, 430, 678, 354, 482, 484, 389, 413, 440, 375, 414, 405, 403, 356,
+            351, 331, 366, 341, 334, 275, 307, 298, 287, 274, 277, 280, 233, 264, 240,
+            255, 249, 239, 214, 222, 205, 231, 217, 205, 197, 174, 210, 172, 164, 161,
+            163, 165, 143, 161, 159, 169, 142, 166, 176, 191, 199, 191, 230, 265, 274,
+            332, 296, 321, 321, 612, 595, 505, 284, 173, 105, 58, 33, 13, 5, 2,
+            3, 1,
         ],
         "gated": [
-            1094, 251, 383, 669, 353, 424, 475, 358, 408, 443, 414, 380, 354, 330, 359,
-            318, 301, 335, 320, 279, 298, 339, 263, 261, 267, 267, 250, 219, 239, 233,
-            227, 238, 229, 236, 207, 189, 192, 164, 214, 182, 189, 172, 162, 160, 148,
-            175, 159, 140, 146, 156, 171, 160, 154, 174, 168, 186, 203, 217, 225, 255,
-            295, 304, 295, 333, 555, 601, 491, 274, 162, 94, 58, 25, 21, 3, 1, 4, 0, 1,
-            1,
+            1088, 235, 391, 601, 357, 414, 434, 409, 383, 388, 375, 373, 359, 343, 340,
+            349, 338, 300, 304, 328, 306, 307, 281, 306, 290, 288, 273, 259, 252, 234,
+            221, 193, 218, 218, 181, 204, 195, 203, 196, 201, 202, 183, 154, 163, 153,
+            168, 150, 146, 130, 145, 152, 154, 152, 183, 183, 191, 208, 210, 276, 282,
+            273, 298, 289, 299, 566, 574, 527, 259, 175, 105, 51, 36, 15, 6, 4,
+            3,
         ],
-        "absorbing": [1865, 3615, 5636, 7513, 450, 495, 341, 38, 26, 15, 2, 3, 0, 1],
+        "absorbing": [1856, 3641, 5646, 7484, 454, 465, 338, 48, 41, 17, 1, 6, 1, 1, 1],
         "d_max1": [
-            408, 1364, 1214, 1182, 1082, 1039, 982, 923, 831, 741, 745, 597, 621, 576,
-            476, 512, 1601, 1310, 1191, 959, 705, 495, 236, 137, 50, 20, 2, 0, 1,
+            420, 1411, 1256, 1177, 1115, 1031, 998, 881, 828, 732, 716, 664, 654, 558, 568,
+            538, 1437, 1285, 1127, 962, 740, 449, 261, 131, 48, 10, 3,
         ],
         "d_max7": [
-            1690, 172, 279, 389, 389, 442, 425, 388, 358, 353, 359, 319, 341, 334, 338,
-            322, 354, 314, 292, 305, 267, 276, 257, 274, 245, 238, 261, 225, 212, 225,
-            239, 219, 209, 193, 200, 198, 200, 190, 168, 162, 157, 174, 188, 160, 154,
-            177, 136, 143, 133, 146, 135, 127, 154, 118, 117, 119, 128, 111, 106, 118,
-            94, 121, 97, 101, 243, 285, 278, 270, 272, 211, 211, 179, 175, 139, 129,
-            153, 130, 130, 112, 114, 88, 108, 98, 82, 84, 87, 63, 52, 58, 53, 52, 48,
-            43, 37, 24, 26, 27, 13, 18, 16, 10, 12, 4, 11, 5, 3, 0, 2, 2, 1, 1, 2, 2, 1,
-            0, 0, 0, 0, 1,
+            1690, 158, 244, 364, 438, 439, 405, 381, 343, 347, 371, 350, 350, 323, 318,
+            350, 323, 305, 274, 286, 288, 267, 248, 287, 220, 241, 227, 227, 222, 219,
+            248, 212, 205, 200, 226, 210, 166, 188, 184, 158, 201, 176, 169, 160, 162,
+            128, 141, 158, 140, 154, 149, 132, 159, 123, 140, 108, 139, 132, 113, 109,
+            100, 104, 86, 104, 256, 271, 292, 294, 233, 214, 217, 168, 180, 174, 158,
+            135, 133, 130, 118, 111, 106, 92, 89, 89, 94, 63, 63, 58, 49, 44,
+            35, 39, 42, 38, 34, 29, 28, 22, 25, 21, 10, 9, 8, 6, 11,
+            5, 8, 4, 0, 2, 1, 2, 1,
         ],
     }
 
@@ -303,6 +346,24 @@ class TestRunTally:
         want = self.GOLDEN[case]
         assert counts[: len(want)].tolist() == want
         assert not counts[len(want):].any()
+
+    @pytest.mark.parametrize("timing", ["pre_flight", "post_flight"])
+    @pytest.mark.parametrize("case", ["first", "gated", "absorbing", "d_max1", "d_max7"])
+    def test_golden_tally_passes_chi_square(self, case, timing):
+        # the tallies the goldens hold, tested against the oracle
+        problem = self.golden_problem(case, timing)
+        counts = run_tally(problem, 20_000, seed=3).counts
+        assert chi_square_p(counts, exact_distribution(problem)) > 1e-4
+
+    def test_chi_square_against_oracle(self, table_a1):
+        counts = run_tally(table_a1, 1_000_000, seed=9).counts
+        assert chi_square_p(counts, exact_distribution(table_a1)) > 1e-4
+
+    def test_chi2_sf_matches_scipy(self):
+        stats = pytest.importorskip("scipy.stats")
+        for dof in (1, 2, 3, 10, 41, 120):
+            for x in (0.5, dof, 2.0 * dof + 5, 4.0 * dof + 40):
+                assert chi2_sf(x, dof) == pytest.approx(stats.chi2.sf(x, dof), rel=1e-9, abs=1e-300)
 
     def test_deterministic(self, table_a1):
         a = run_tally(table_a1, 10_000, seed=5)
@@ -349,8 +410,9 @@ class TestRunTally:
 
 
 class TestBlockedStream:
-    """The blocked sampler reads the stream where `full_draw_counts`, which
-    draws one uniform per history at every draw site, reads it."""
+    """The compacting sampler reads the stream where `full_draw_counts`,
+    which keeps every history in place under an alive mask, reads it: one
+    uniform per live history per draw site."""
 
     PROBLEMS = {
         "mixed": (RegionSpec((0.2, 0.3, 0.5), 0.3), RegionSpec((0.5, 0.3, 0.2), 0.5)),
@@ -376,8 +438,8 @@ class TestBlockedStream:
         assert rng.random() == oracle.random()
 
     def test_buffered_uint32_kept(self, table_a1):
-        # `advance` drops the buffered half of a 64-bit output; the caller's
-        # next uint32 must still be that half
+        # the sampler draws doubles only; the caller's next uint32 must still
+        # be the buffered half of the 64-bit output it drew before
         rng, oracle = make_stream(2), make_stream(2)
         for stream in (rng, oracle):
             stream.integers(2**32, dtype=np.uint32)
@@ -386,9 +448,40 @@ class TestBlockedStream:
         full_draw_counts(table_a1, 1, oracle)
         assert rng.integers(2**32, dtype=np.uint32) == oracle.integers(2**32, dtype=np.uint32)
 
-    def test_non_pcg64_generator_rejected(self, table_a1):
-        with pytest.raises(InvariantError, match="PCG64"):
-            run_history(table_a1, np.random.Generator(np.random.MT19937(0)))
+    def test_mt19937_generator_matches_full_draw(self, table_a1):
+        # the rule needs no jump-ahead, so any bit generator works
+        rng, oracle = (np.random.Generator(np.random.MT19937(0)) for _ in range(2))
+        np.testing.assert_array_equal(
+            classical_mc._simulate_counts(table_a1, 10_000, rng),
+            full_draw_counts(table_a1, 10_000, oracle),
+        )
+        assert rng.random() == oracle.random()
+
+    @pytest.mark.parametrize("shots", [1, 5, 300])
+    @pytest.mark.parametrize("timing", ["pre_flight", "post_flight"])
+    def test_matches_scalar_draws(self, timing, shots):
+        # one rng.random() per live history per draw site, in history order
+        problem = TransportProblem(
+            x_qubits=6, max_flights=8, boundary=16, regions=self.PROBLEMS["mixed"],
+            first_flight_always=False, reaction_timing=timing,
+        )
+        cdfs = [np.cumsum(r.distance_pmf) for r in problem.regions]
+        oracle = make_stream(shots)
+        positions, alive = [0] * shots, [True] * shots
+        for step in flowchart_steps(problem):
+            for i in range(shots):
+                if not alive[i]:
+                    continue
+                u = oracle.random()
+                high = positions[i] >= problem.boundary
+                if step == MOVE:
+                    positions[i] += min(int(np.searchsorted(cdfs[high], u, "right")), problem.d_max)
+                else:
+                    alive[i] = u < problem.regions[high].p_scatter
+        rng = make_stream(shots)
+        counts = classical_mc._simulate_counts(problem, shots, rng)
+        assert counts.tolist() == np.bincount(positions, minlength=len(counts)).tolist()
+        assert rng.random() == oracle.random()
 
     def test_scratch_does_not_grow_with_shots(self):
         problem = TestRunTally.golden_problem("first", "pre_flight")

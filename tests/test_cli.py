@@ -297,31 +297,41 @@ class TestExitCodes:
         result = run_cli("exact", "-p", table_a1_path, env={"QTRANSPORT_MAX_QUBITS": ceiling})
         assert result.returncode == 4
 
+    # Table A1's support state has eight qubits besides X; with the ceiling
+    # raised, `exact` and `qae` reach its allocation.
     @pytest.mark.parametrize(
-        "args",
-        [("exact", "--oracle"), ("mc", "--mode", "flowchart", "--shots", "10")],
-        ids=["exact_oracle", "flowchart"],
+        "args, env, nbytes",
+        [
+            (("exact", "--oracle"), {}, lambda x: 8 << x),
+            (("mc", "--mode", "flowchart", "--shots", "10"), {}, lambda x: 8 << x),
+            (("exact",), {"QTRANSPORT_MAX_QUBITS": "200"}, lambda x: 16 << (x + 8)),
+            (("qae", "--predicate", "region2"), {"QTRANSPORT_MAX_QUBITS": "200"},
+             lambda x: 16 << (x + 8)),
+        ],
+        ids=["exact_oracle", "flowchart", "exact", "qae"],
     )
-    def test_refused_allocation_is_4(self, tmp_path, args):
-        # 2^50 positions of eight bytes are past the 128 TiB address space,
-        # so the oracle's mass vectors and the tally's counts are refused
-        # whatever the overcommit setting (the samplers draw their shots a
-        # block at a time and allocate nothing per shot)
+    def test_refused_allocation_is_4(self, tmp_path, args, env, nbytes):
         path = tmp_path / "wide.json"
-        path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=50)))
-        result = run_cli(*args, "-p", str(path))
-        assert result.returncode == 4
-        assert result.stderr.startswith("error: ")
-        assert "8.00 PiB" in result.stderr
-        assert "Traceback" not in result.stderr
-        # from 2^60 positions numpy cannot index the vectors at all (it says
-        # ValueError, not MemoryError); the budget still needs no state
+        if not env:
+            # 2^50 positions of eight bytes are past the 128 TiB address
+            # space, so the oracle's mass vectors and the tally's counts are
+            # refused whatever the overcommit setting (the samplers draw
+            # their shots a block at a time and allocate nothing per shot)
+            path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=50)))
+            result = run_cli(*args, "-p", str(path))
+            assert result.returncode == 4
+            assert result.stderr.startswith("error: ")
+            assert "8.00 PiB" in result.stderr
+            assert "Traceback" not in result.stderr
+        # from 2^60 positions numpy cannot index the vectors, nor the states,
+        # at all (it says ValueError, not MemoryError); the budget still
+        # needs no state
         for x_qubits in (60, 63, 100):
             path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=x_qubits)))
-            result = run_cli(*args, "-p", str(path))
+            result = run_cli(*args, "-p", str(path), env=env)
             assert result.returncode == 4, x_qubits
             assert result.stderr.startswith("error: ")
-            assert f"{8 << x_qubits} bytes" in result.stderr
+            assert f"{nbytes(x_qubits)} bytes" in result.stderr
             assert "Traceback" not in result.stderr
             assert run_cli("resources", "-p", str(path)).returncode == 0
 
@@ -496,20 +506,20 @@ class TestMc:
         assert "seed must be >= 0" in capsys.readouterr().err
 
     def test_golden_flowchart_output(self, table_a1_path, capsys):
-        # Recorded from the scalar history loop that `run_history` used to
-        # be; the batch sampler reads the stream in the same order.
+        # Recorded when each draw site of the flowchart sampler began to
+        # take one uniform per live history.
         assert main(["mc", "-p", table_a1_path, "--shots", "20000", "--seed", "7"]) == 0
         assert capsys.readouterr().out == (
             "position,count,frequency\n"
-            "0,2145,0.10725\n"
-            "1,4144,0.2072\n"
-            "2,4272,0.2136\n"
-            "3,3949,0.19745\n"
-            "4,3015,0.15075\n"
-            "5,1640,0.082\n"
-            "6,712,0.0356\n"
-            "7,102,0.0051\n"
-            "8,21,0.00105\n"
+            "0,2152,0.1076\n"
+            "1,4080,0.204\n"
+            "2,4319,0.21595\n"
+            "3,3930,0.1965\n"
+            "4,3093,0.15465\n"
+            "5,1597,0.07985\n"
+            "6,701,0.03505\n"
+            "7,115,0.00575\n"
+            "8,13,0.00065\n"
             "9,0,0.0\n"
             "10,0,0.0\n"
             "11,0,0.0\n"
@@ -703,9 +713,11 @@ class TestConvergence:
         assert a.stdout == run_cli(*args).stdout
 
     def test_golden_output(self, table_a1_path, capsys):
-        # Recorded while the Grover powers were still simulated gate by gate:
-        # a shift in the amplified probabilities that flips one binomial draw
-        # changes these bytes.
+        # The quantum rows were recorded while the Grover powers were still
+        # simulated gate by gate: a shift in the amplified probabilities that
+        # flips one binomial draw changes these bytes. The classical rows were
+        # re-recorded when the flowchart sampler began to draw one uniform
+        # per live history.
         args = [
             "convergence", "-p", table_a1_path, "--predicate", "region2",
             "--budgets", "100,400", "--schedule", "exp:1",
@@ -714,8 +726,8 @@ class TestConvergence:
         assert main(args) == 0
         assert capsys.readouterr().out == (
             "method,budget,rmse\n"
-            "classical,100,0.02762122900355203\n"
-            "classical,400,0.02213629655113967\n"
+            "classical,100,0.012666186942670047\n"
+            "classical,400,0.014098426330622768\n"
             "quantum,90,0.5936804486022912\n"
             "quantum,240,0.010263260934699949\n"
         )

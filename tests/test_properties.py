@@ -2,12 +2,15 @@
 
 Each engine example is a problem drawn by `conftest.random_problem` from a
 drawn seed, so the examples cover the same problem space as the seeded
-tests. The tally examples also draw shots on both sides of block edges and
-hold the blocked sampler to the full-draw reference. The likelihood-search
-examples draw Grover schedules, shots and hits, and hold the block search
-to the argmax over every grid point. The settings are derandomized with no
-example database, so a run is deterministic and tier-1 stays fast.
+tests. The tally examples also draw shots on both sides of block edges,
+hold the compacting sampler to the uncompacted reference, and hold the
+pre- and post-flight tallies of one seed to each other bitwise. The
+likelihood-search examples draw Grover schedules, shots and hits, and hold
+the block search to the argmax over every grid point. The settings are
+derandomized with no example database, so a run is deterministic and
+tier-1 stays fast.
 """
+import dataclasses
 import math
 
 import numpy as np
@@ -176,6 +179,25 @@ def test_blocked_tally_is_the_full_draw(seed, shots, stream_seed):
         _simulate_counts(problem, shots, rng), full_draw_counts(problem, shots, oracle)
     )
     assert rng.random() == oracle.random()
+
+
+@DETERMINISTIC
+@given(seed=problem_seeds, shots=st.integers(1, 3 * _BLOCK + 5), stream_seed=problem_seeds)
+@example(seed=0, shots=_BLOCK, stream_seed=0)
+@example(seed=0, shots=_BLOCK + 1, stream_seed=0)
+def test_reaction_timings_give_the_same_tally(seed, shots, stream_seed):
+    # the reaction gating a flight reads the same region under either
+    # timing, and the post-flight reaction after the last flight draws
+    # nothing, so one seed gives one tally and leaves the stream in one place
+    problem = draw_problem(seed)
+    pre = dataclasses.replace(problem, reaction_timing="pre_flight")
+    post = dataclasses.replace(problem, reaction_timing="post_flight")
+    np.testing.assert_allclose(exact_distribution(pre), exact_distribution(post), rtol=0, atol=1e-12)
+    pre_rng, post_rng = make_stream(stream_seed), make_stream(stream_seed)
+    np.testing.assert_array_equal(
+        _simulate_counts(pre, shots, pre_rng), _simulate_counts(post, shots, post_rng)
+    )
+    assert pre_rng.random() == post_rng.random()
 
 
 # --- likelihood search ---------------------------------------------------------
