@@ -17,13 +17,10 @@ from .circuit import (
     parse_circuit,
 )
 from .classical_mc import (
-    McTally,
-    discretize_exponential,
     exact_distribution,
     expected_flights,
     run_history,
     run_tally,
-    sample_flight_distance_continuous,
 )
 from .errors import (
     CapacityError,
@@ -43,10 +40,9 @@ from .qae import (
     predicate_probability,
 )
 from .resources import ResourceEstimate, circuit_budget, practical_estimate
-from .sim import apply_inplace, marginal, mask_probability, sample, zero_state
+from .sim import apply_inplace, mask_probability, sample, zero_state
 from .transport import (
     RegionSpec,
-    TransportCircuit,
     TransportProblem,
     apply_transport_inplace,
     build_controlled_adder,

@@ -172,25 +172,6 @@ def add_controls(c: Circuit, controls: Sequence[Control]) -> Circuit:
     return Circuit(qubit_count, gates, c.registers)
 
 
-def register_value(basis_index: int, qubits: Sequence[int]) -> int:
-    """Integer encoded by a register's qubits within a basis-state index."""
-    value = 0
-    for place, q in enumerate(qubits):
-        value |= ((basis_index >> q) & 1) << place
-    return value
-
-
-def encode_register(qubits: Sequence[int], value: int, base_index: int = 0) -> int:
-    """Basis-state index with the register's qubits set to encode `value`."""
-    if value < 0 or value >= (1 << len(qubits)):
-        raise InvariantError(f"value {value} does not fit in {len(qubits)} qubits")
-    index = base_index
-    for place, q in enumerate(qubits):
-        index &= ~(1 << q)
-        index |= ((value >> place) & 1) << q
-    return index
-
-
 # --- gate-dump text format -------------------------------------------------
 #
 # qubits=N

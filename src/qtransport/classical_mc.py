@@ -36,9 +36,6 @@ its history took.
 """
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import CapacityError, InvariantError
@@ -46,51 +43,6 @@ from .sim import _BLOCK
 from .transport import MOVE, REACT, TransportProblem
 
 FLIGHT_CAP = 10**6
-
-
-def make_stream(seed: int) -> np.random.Generator:
-    """Independent generator for a seed; same seed, same sequence."""
-    return np.random.default_rng(np.random.SeedSequence([seed]))
-
-
-@dataclass
-class McTally:
-    """Histogram of final positions from a batch of sampled histories."""
-
-    counts: np.ndarray
-    total_shots: int
-    seed: int
-
-    def frequencies(self) -> np.ndarray:
-        return self.counts / self.total_shots
-
-
-def sample_flight_distance_continuous(mean_free_path: float, eta: float) -> float:
-    """Continuous flight distance -lambda*ln(eta) for a uniform draw eta in (0, 1]."""
-    if mean_free_path <= 0:
-        raise InvariantError("mean free path must be positive")
-    if not 0.0 < eta <= 1.0:
-        raise InvariantError(f"eta must be in (0, 1], got {eta}")
-    return -mean_free_path * math.log(eta)
-
-
-def discretize_exponential(mean_free_path: float, d_max: int) -> np.ndarray:
-    """Exponential flight-distance distribution rounded to integers 0..d_max.
-
-    Band [k-0.5, k+0.5) maps to k, with the full tail lumped into d_max, so
-    the result sums to exactly 1 by telescoping.
-    """
-    if mean_free_path <= 0:
-        raise InvariantError("mean free path must be positive")
-    if d_max < 1:
-        raise InvariantError("d_max must be >= 1")
-    lam = mean_free_path
-    pmf = np.empty(d_max + 1)
-    pmf[0] = 1.0 - math.exp(-0.5 / lam)
-    for k in range(1, d_max):
-        pmf[k] = math.exp(-(k - 0.5) / lam) - math.exp(-(k + 0.5) / lam)
-    pmf[d_max] = math.exp(-(d_max - 0.5) / lam)
-    return pmf
 
 
 def expected_flights(p_absorb: float) -> float:
@@ -110,7 +62,7 @@ def mean_flights_uncapped(p_absorb: float, histories: int, seed: int) -> float:
         raise InvariantError(f"p_absorb must be in (0, 1], got {p_absorb}")
     if histories < 1:
         raise InvariantError("histories must be >= 1")
-    rng = make_stream(seed)
+    rng = np.random.default_rng(seed)
     total = 0
     alive = histories
     rounds = 0
@@ -201,11 +153,12 @@ def run_history(problem: TransportProblem, rng: np.random.Generator) -> int:
     return int(_simulate_counts(problem, 1, rng).argmax())
 
 
-def run_tally(problem: TransportProblem, shots: int, seed: int) -> McTally:
-    """Histogram `shots` histories; deterministic for a fixed seed."""
+def run_tally(problem: TransportProblem, shots: int, seed: int) -> np.ndarray:
+    """int64 counts of the final positions of `shots` histories;
+    deterministic for a fixed seed."""
     if shots < 1:
         raise InvariantError("shots must be >= 1")
-    return McTally(_simulate_counts(problem, shots, make_stream(seed)), shots, seed)
+    return _simulate_counts(problem, shots, np.random.default_rng(seed))
 
 
 def exact_distribution(problem: TransportProblem) -> np.ndarray:

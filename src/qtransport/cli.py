@@ -2,9 +2,9 @@
 
 Problems are JSON files (strict schema, unknown fields rejected);
 distributions go out as CSV, estimates as JSON. Every command is
-deterministic given its full flag set. Exit codes: 0 ok, 2 problem-file
-parse error, 3 invariant violation, 4 engine capacity exceeded or an
-allocation refused, 5 bad predicate.
+deterministic given its full flag set. Exit codes: 0 ok, 1 an output file
+that cannot be written, 2 problem-file parse error, 3 invariant violation,
+4 engine capacity exceeded or an allocation refused, 5 bad predicate.
 """
 from __future__ import annotations
 
@@ -111,26 +111,15 @@ def load_problem(path: str) -> TransportProblem:
     return parse_problem_dict(doc)
 
 
-def problem_to_dict(problem: TransportProblem) -> dict:
-    return {
-        "x_qubits": problem.x_qubits,
-        "max_flights": problem.max_flights,
-        "boundary": problem.boundary,
-        "regions": [
-            {"distance_pmf": list(r.distance_pmf), "p_absorb": r.p_absorb}
-            for r in problem.regions
-        ],
-        "first_flight_always": problem.first_flight_always,
-        "reaction_timing": problem.reaction_timing,
-    }
-
-
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise QTransportError(f"cannot write output file: {exc}") from exc
 
 
 def _csv(rows, header) -> str:
@@ -173,7 +162,7 @@ def cmd_mc(args) -> int:
         raise InvariantError("shots must be >= 1")
     _check_seed(args.seed)
     if args.mode == "flowchart":
-        counts = classical_mc.run_tally(problem, args.shots, args.seed).counts
+        counts = classical_mc.run_tally(problem, args.shots, args.seed)
     else:
         counts = sim.sample(transport_distribution(problem), args.shots, args.seed)
     rows = [
@@ -233,8 +222,7 @@ def cmd_convergence(args) -> int:
 
 def cmd_dump_circuit(args) -> int:
     problem = load_problem(args.problem)
-    tc = build_transport_circuit(problem)
-    _emit(dump_circuit(tc.circuit), args.out)
+    _emit(dump_circuit(build_transport_circuit(problem)), args.out)
     return 0
 
 

@@ -48,8 +48,8 @@ def classical_curve(
     for bi, shots in enumerate(budgets):
         errors = []
         for si in range(n_seeds):
-            tally = classical_mc.run_tally(problem, shots, derive_seed(si, bi, 0))
-            errors.append(tally.frequencies()[mask].sum() - p_true)
+            counts = classical_mc.run_tally(problem, shots, derive_seed(si, bi, 0))
+            errors.append((counts / shots)[mask].sum() - p_true)
         points.append(ConvergencePoint("classical", int(shots), float(np.sqrt(np.mean(np.square(errors))))))
     return points
 

@@ -53,15 +53,17 @@ from .circuit import Circuit, compose, inverse, phase_shift, x
 from .errors import InvariantError, PredicateError
 from .sim import apply_inplace, check_width, mask_probability, zero_state
 from .transport import (
-    TransportCircuit,
     TransportProblem,
     build_region_flag,
+    build_transport_circuit,
     support_state,
+    transport_registers,
     transport_widths,
 )
 
 GEQ, EQ, REGION2 = "geq", "eq", "region2"
 MAX_POWER = (1 << 62) - 1  # largest Grover power m whose 2m+1 fits in an int64
+MAX_SHOTS_PER_POWER = (1 << 63) - 1  # int64, the widest count Generator.binomial takes
 
 
 @dataclass(frozen=True)
@@ -124,22 +126,24 @@ def predicate_mask(pred: Predicate, problem: TransportProblem) -> np.ndarray:
     return positions >= pred.value if pred.kind == GEQ else positions == pred.value
 
 
-def build_flag_oracle(tc: TransportCircuit, pred: Predicate) -> Circuit:
+def build_flag_oracle(problem: TransportProblem, pred: Predicate) -> Circuit:
     """Circuit flipping the flag iff the X register satisfies the predicate;
     the flag is a new qubit past the transport circuit, registered as "flag"."""
-    pred = _resolve(pred, tc.problem)
-    flag, x_register = tc.circuit.qubit_count, tc.registers["X"]
+    pred = _resolve(pred, problem)
+    registers = transport_registers(problem)
+    flag, x_register = transport_widths(problem)[0], registers["X"]
     if pred.kind == GEQ:
         gates = build_region_flag(x_register, pred.value, flag).gates
     else:
         gates = (x(flag, [(q, bool((pred.value >> i) & 1)) for i, q in enumerate(x_register)]),)
-    return Circuit(flag + 1, gates, {**tc.registers, "flag": (flag,)})
+    return Circuit(flag + 1, gates, {**registers, "flag": (flag,)})
 
 
-def build_a_operator(tc: TransportCircuit, pred: Predicate) -> Circuit:
+def build_a_operator(problem: TransportProblem, pred: Predicate) -> Circuit:
     """A = transport circuit then predicate oracle, on the oracle's qubits."""
-    oracle = build_flag_oracle(tc, pred)
-    return Circuit(oracle.qubit_count, tc.circuit.gates + oracle.gates, oracle.registers)
+    oracle = build_flag_oracle(problem, pred)
+    transport = build_transport_circuit(problem)
+    return Circuit(oracle.qubit_count, transport.gates + oracle.gates, oracle.registers)
 
 
 def _flag(a: Circuit) -> int:
@@ -176,8 +180,7 @@ def exact_amplitude(a: Circuit) -> float:
 
 
 def predicate_probability(problem: TransportProblem, pred: Predicate) -> float:
-    """Flag |1> probability of A|0> for
-    A = build_a_operator(build_transport_circuit(problem), pred).
+    """Flag |1> probability of A|0> for A = build_a_operator(problem, pred).
 
     The oracle copies the selected positions' amplitudes into A's flag = 1
     half, so this is their mass in the transport support state; it is summed
@@ -410,9 +413,12 @@ def theta_from_hits(powers, shots, hits) -> float:
 
 
 def check_shots_per_power(shots_per_power: int) -> None:
-    """Raise PredicateError unless every Grover power gets at least one shot."""
+    """Raise PredicateError unless every Grover power gets at least one shot
+    and the count fits the int64 that numpy's binomial draws take."""
     if shots_per_power < 1:
         raise PredicateError("shots_per_power must be >= 1")
+    if shots_per_power > MAX_SHOTS_PER_POWER:
+        raise PredicateError(f"shots_per_power must be at most 2^63 - 1, got {shots_per_power}")
 
 
 def mlqae_estimate(p: float, schedule, shots_per_power: int, seed: int) -> QaeEstimate:

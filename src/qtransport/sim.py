@@ -11,9 +11,9 @@ index arrays are built. `transport.apply_transport_inplace` writes the
 transport circuit's state at register level instead, and the tests hold it
 to this kernel; both end with `check_norm`. `check_width` is the ceiling
 check of `zero_state` on its own, for callers whose state is narrower than
-their circuit. `marginal`, `low_marginal` and `mask_probability` read the
-same layout; the last two square and sum a block of amplitudes at a time,
-so their scratch is one block, not a float64 copy of the state.
+their circuit. `low_marginal` and `mask_probability` read the same
+layout; both square and sum a block of amplitudes at a time, so their
+scratch is one block, not a float64 copy of the state.
 
 `sample` draws shots from a probability vector sequentially and vectorized
 from a single seeded stream, a block of 2^16 uniforms at a time, so counts
@@ -163,22 +163,6 @@ def check_norm(amplitudes: np.ndarray) -> None:
         raise InvariantError(f"statevector norm drifted to {norm!r}")
 
 
-def marginal(amplitudes: np.ndarray, qubits) -> np.ndarray:
-    """Probability of each integer value of the register on `qubits`
-    (LSB first), as an array of length 2^len(qubits). Raises InvariantError
-    if a qubit is out of range or repeated."""
-    qubits = tuple(qubits)
-    n = len(amplitudes).bit_length() - 1
-    if any(not 0 <= q < n for q in qubits) or len(set(qubits)) != len(qubits):
-        raise InvariantError(f"register {qubits} is not distinct qubits of a {n}-qubit state")
-    probs = np.abs(amplitudes)
-    np.square(probs, out=probs)
-    probs, axis = _split(probs, qubits)
-    # sum out every other axis; most significant place first, so that the
-    # flattened C order is the register value
-    return np.einsum(probs, list(range(probs.ndim)), [axis[q] for q in reversed(qubits)]).ravel()
-
-
 def _squares(amplitudes: np.ndarray) -> np.ndarray:
     squares = np.abs(amplitudes)
     return np.square(squares, out=squares)
@@ -186,7 +170,7 @@ def _squares(amplitudes: np.ndarray) -> np.ndarray:
 
 def low_marginal(amplitudes: np.ndarray, width: int) -> np.ndarray:
     """Probability of each integer value of the register on the lowest
-    `width` qubits, as `marginal` gives it for qubits (0, ..., width-1).
+    `width` qubits (qubit 0 is the value's 2^0 place).
 
     The rows of the (-1, 2^width) view are squared and summed a block of
     2^16 amplitudes at a time (a row longer than that in pieces of a

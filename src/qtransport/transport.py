@@ -275,18 +275,6 @@ def build_controlled_adder(x_register, d_register, control_qubit: int | None = N
 
 # --- full transport circuit ---------------------------------------------------
 
-@dataclass(frozen=True)
-class TransportCircuit:
-    """The assembled circuit plus the problem it encodes."""
-
-    circuit: Circuit
-    problem: TransportProblem
-
-    @property
-    def registers(self):
-        return self.circuit.registers
-
-
 def transport_registers(problem: TransportProblem) -> dict[str, tuple[int, ...]]:
     """Register layout of the transport circuit, LSB-first within each
     register: X, then Anc.R, then per flight D_m (and R_m when the flight is
@@ -316,7 +304,7 @@ def transport_widths(problem: TransportProblem) -> tuple[int, int]:
     return n, n - sum(len(registers[name]) for name in _ANCILLAE)
 
 
-def build_transport_circuit(problem: TransportProblem) -> TransportCircuit:
+def build_transport_circuit(problem: TransportProblem) -> Circuit:
     """Assemble the full flight-by-flight circuit for a problem from the
     gates of the four gadget builders above, which are their only definition,
     on the registers of `transport_registers`.
@@ -343,8 +331,7 @@ def build_transport_circuit(problem: TransportProblem) -> TransportCircuit:
         progress = [mct(gating, anc_p)] if gating else []
         adder = build_controlled_adder(x_register, d_register, anc_p if gating else None)
         gates.extend(progress + list(adder.gates) + progress)
-    circuit = Circuit(anc_p + 1, tuple(gates), registers)
-    return TransportCircuit(circuit, problem)
+    return Circuit(anc_p + 1, tuple(gates), registers)
 
 
 # --- register-level simulation -----------------------------------------------

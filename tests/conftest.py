@@ -6,15 +6,10 @@ import pytest
 
 from qtransport import RegionSpec, TransportProblem
 from qtransport.circuit import Circuit
+from qtransport.errors import InvariantError
 from qtransport.qae import build_flag_oracle, build_grover_operator
-from qtransport.sim import _BLOCK, apply_inplace, check_width, marginal, zero_state
-from qtransport.transport import (
-    MOVE,
-    REACT,
-    apply_transport_inplace,
-    build_transport_circuit,
-    transport_widths,
-)
+from qtransport.sim import _BLOCK, _split, apply_inplace, check_width, zero_state
+from qtransport.transport import MOVE, REACT, apply_transport_inplace, transport_widths
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -37,6 +32,56 @@ def basis_state(n: int, index: int) -> np.ndarray:
     amplitudes = np.zeros(1 << n, dtype=np.complex128)
     amplitudes[index] = 1.0
     return amplitudes
+
+
+def register_value(basis_index: int, qubits) -> int:
+    """Integer encoded by a register's qubits within a basis-state index."""
+    value = 0
+    for place, q in enumerate(qubits):
+        value |= ((basis_index >> q) & 1) << place
+    return value
+
+
+def encode_register(qubits, value: int, base_index: int = 0) -> int:
+    """Basis-state index with the register's qubits set to encode `value`."""
+    if value < 0 or value >= (1 << len(qubits)):
+        raise InvariantError(f"value {value} does not fit in {len(qubits)} qubits")
+    index = base_index
+    for place, q in enumerate(qubits):
+        index &= ~(1 << q)
+        index |= ((value >> place) & 1) << q
+    return index
+
+
+def marginal(amplitudes: np.ndarray, qubits) -> np.ndarray:
+    """Probability of each integer value of the register on `qubits`
+    (LSB first), as an array of length 2^len(qubits). Raises InvariantError
+    if a qubit is out of range or repeated."""
+    qubits = tuple(qubits)
+    n = len(amplitudes).bit_length() - 1
+    if any(not 0 <= q < n for q in qubits) or len(set(qubits)) != len(qubits):
+        raise InvariantError(f"register {qubits} is not distinct qubits of a {n}-qubit state")
+    probs = np.abs(amplitudes)
+    np.square(probs, out=probs)
+    probs, axis = _split(probs, qubits)
+    # sum out every other axis; most significant place first, so that the
+    # flattened C order is the register value
+    return np.einsum(probs, list(range(probs.ndim)), [axis[q] for q in reversed(qubits)]).ravel()
+
+
+def problem_to_dict(problem: TransportProblem) -> dict:
+    """The problem as the JSON document `cli.parse_problem_dict` reads."""
+    return {
+        "x_qubits": problem.x_qubits,
+        "max_flights": problem.max_flights,
+        "boundary": problem.boundary,
+        "regions": [
+            {"distance_pmf": list(r.distance_pmf), "p_absorb": r.p_absorb}
+            for r in problem.regions
+        ],
+        "first_flight_always": problem.first_flight_always,
+        "reaction_timing": problem.reaction_timing,
+    }
 
 
 def random_pmf(rng: np.random.Generator, length: int, allow_zeros: bool = True) -> tuple:
@@ -91,13 +136,13 @@ def support_slice(full: np.ndarray, tc) -> np.ndarray:
     in the support's order: AncR sits just above X and AncP on the top qubit."""
     (anc_r,), (anc_p,) = tc.registers["AncR"], tc.registers["AncP"]
     assert anc_r == len(tc.registers["X"])
-    assert anc_p == tc.circuit.qubit_count - 1
+    assert anc_p == tc.qubit_count - 1
     return full.reshape(2, -1, 2, 1 << anc_r)[0, :, 0]
 
 
 def embed_support(support: np.ndarray, tc) -> np.ndarray:
     """The full state whose AncR = AncP = 0 slice is `support`, zero elsewhere."""
-    full = np.zeros(1 << tc.circuit.qubit_count, dtype=np.complex128)
+    full = np.zeros(1 << tc.qubit_count, dtype=np.complex128)
     view = support_slice(full, tc)
     view[...] = support.reshape(view.shape)
     return full
@@ -143,7 +188,7 @@ def flag_half_predicate_probability(problem: TransportProblem, pred) -> float:
     reference the masked read of the support state is held to bit for bit."""
     n, support = transport_widths(problem)
     # the oracle's gates read only X, so only the flag moves to the support's top
-    oracle = build_flag_oracle(build_transport_circuit(problem), pred)
+    oracle = build_flag_oracle(problem, pred)
     gates = [dataclasses.replace(g, targets=(support,)) for g in oracle.gates]
     check_width(n + 1)
     amplitudes = zero_state(support + 1)

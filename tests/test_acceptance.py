@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qtransport import TransportProblem, sim
-from qtransport.circuit import Circuit, encode_register, mct
+from qtransport.circuit import Circuit, mct
 from qtransport.classical_mc import (
     exact_distribution,
     expected_flights,
@@ -37,6 +37,8 @@ from conftest import (
     HAND_P_ZERO,
     TABLE_A1_REGIONS,
     basis_state,
+    encode_register,
+    marginal,
     random_pmf,
     random_problem,
     simulated_grover_probabilities,
@@ -109,12 +111,12 @@ def test_c2_gadget_exhaustiveness(table_a1):
     problems += [random_problem(rng, max_total_qubits=14) for _ in range(5)]
     for problem in problems:
         tc = build_transport_circuit(problem)
-        state = sim.zero_state(tc.circuit.qubit_count)
-        sim.apply_inplace(state, tc.circuit)
+        state = sim.zero_state(tc.qubit_count)
+        sim.apply_inplace(state, tc)
         anc_worst = max(
             anc_worst,
-            sim.marginal(state, tc.registers["AncP"])[1],
-            sim.marginal(state, tc.registers["AncR"])[1],
+            marginal(state, tc.registers["AncP"])[1],
+            marginal(state, tc.registers["AncR"])[1],
         )
 
     finish(
@@ -130,7 +132,7 @@ def test_c3_loader_fidelity():
         c = build_distribution_loader(pmf, tuple(range(width)))
         state = sim.zero_state(width)
         sim.apply_inplace(state, c)
-        return sim.marginal(state, c.registers["D"])
+        return marginal(state, c.registers["D"])
 
     worst = 0.0
     for spec in TABLE_A1_REGIONS:
@@ -151,8 +153,8 @@ def test_c3_loader_fidelity():
     region1, region2 = basis_state(2, 0), basis_state(2, 1)
     sim.apply_inplace(region1, rotation)
     sim.apply_inplace(region2, rotation)
-    p_region1 = sim.marginal(region1, (1,))[1]
-    p_region2 = sim.marginal(region2, (1,))[1]
+    p_region1 = marginal(region1, (1,))[1]
+    p_region2 = marginal(region2, (1,))[1]
     reaction_err = max(abs(p_region1 - 0.75), abs(p_region2 - 0.60))
 
     finish(
@@ -215,8 +217,7 @@ def test_c6_quantum_scaling(table_a1_module, classical_slope):
 
 
 def test_c7_grover_identity(table_a1):
-    tc = build_transport_circuit(table_a1)
-    a = build_a_operator(tc, Predicate.region2())
+    a = build_a_operator(table_a1, Predicate.region2())
     p = exact_amplitude(a)
     theta = math.asin(math.sqrt(p))
     probs = simulated_grover_probabilities(a, range(9))

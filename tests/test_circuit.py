@@ -9,20 +9,18 @@ from qtransport.circuit import (
     add_controls,
     compose,
     dump_circuit,
-    encode_register,
     h,
     inverse,
     mct,
     parse_circuit,
     phase_shift,
-    register_value,
     ry,
     x,
 )
 from qtransport.errors import InvariantError
 from qtransport.transport import build_controlled_adder, build_region_flag
 
-from conftest import basis_state
+from conftest import basis_state, encode_register, register_value
 
 
 def random_gate(rng, n):

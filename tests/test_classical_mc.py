@@ -7,22 +7,17 @@ import pytest
 
 from qtransport import RegionSpec, TransportProblem, classical_mc
 from qtransport.classical_mc import (
-    discretize_exponential,
     exact_distribution,
     expected_flights,
-    make_stream,
     mean_flights_uncapped,
     run_history,
     run_tally,
-    sample_flight_distance_continuous,
 )
 from qtransport.errors import InvariantError
 from qtransport.sim import _BLOCK
 from qtransport.transport import MOVE
 
 from conftest import HAND_P_ZERO, flowchart_steps, full_draw_counts, random_problem
-
-E = math.e
 
 
 def single_region(pmf, p_absorb, x_qubits=5, flights=3, **kw):
@@ -74,81 +69,6 @@ def chi_square_p(counts: np.ndarray, exact: np.ndarray) -> float:
     return chi2_sf(stat, len(pools) - 1)
 
 
-class TestStreams:
-    def test_same_pair_same_sequence(self):
-        a = make_stream(5).random(10)
-        b = make_stream(5).random(10)
-        np.testing.assert_array_equal(a, b)
-
-
-class TestContinuousSampler:
-    def test_eta_one_gives_zero(self):
-        assert sample_flight_distance_continuous(1.5, 1.0) == 0.0
-
-    def test_inverse_e(self):
-        assert abs(sample_flight_distance_continuous(1.5, 1 / E) - 1.5) < 1e-12
-
-    def test_eta_zero_rejected(self):
-        with pytest.raises(InvariantError):
-            sample_flight_distance_continuous(1.5, 0.0)
-
-    def test_eta_above_one_rejected(self):
-        with pytest.raises(InvariantError):
-            sample_flight_distance_continuous(1.5, 1.5)
-
-    def test_nonpositive_lambda_rejected(self):
-        with pytest.raises(InvariantError):
-            sample_flight_distance_continuous(0.0, 0.5)
-
-    def test_sample_mean_is_mean_free_path(self):
-        eta = 1.0 - make_stream(0).random(200_000)  # (0, 1]
-        distances = [sample_flight_distance_continuous(1.5, float(e)) for e in eta]
-        assert min(distances) >= 0.0
-        assert abs(np.mean(distances) - 1.5) / 1.5 < 0.01
-
-
-class TestDiscretization:
-    @pytest.mark.parametrize("lam", [0.5, 1.0, 1.5])
-    def test_sums_to_one(self, lam):
-        assert abs(discretize_exponential(lam, 3).sum() - 1.0) < 1e-12
-
-    def test_tiny_lambda_concentrates_at_zero(self):
-        pmf = discretize_exponential(1e-9, 3)
-        np.testing.assert_allclose(pmf, [1, 0, 0, 0], atol=1e-15)
-
-    def test_closed_form(self):
-        pmf = discretize_exponential(1.5, 3)
-        want = [
-            1 - E ** (-1 / 3),
-            E ** (-1 / 3) - E ** (-1),
-            E ** (-1) - E ** (-5 / 3),
-            E ** (-5 / 3),
-        ]
-        np.testing.assert_allclose(pmf, want, atol=1e-15)
-
-    def test_matches_rounded_continuous_sampling(self):
-        # independent oracle: round -lambda*ln(eta) to the nearest integer,
-        # clamp to d_max, and compare empirical frequencies
-        lam, d_max, n = 1.5, 3, 400_000
-        eta = 1.0 - make_stream(8).random(n)
-        rounded = np.minimum(np.floor(-lam * np.log(eta) + 0.5).astype(int), d_max)
-        freq = np.bincount(rounded, minlength=d_max + 1) / n
-        pmf = discretize_exponential(lam, d_max)
-        assert np.abs(freq - pmf).max() < 4 * math.sqrt(0.25 / n)
-
-    def test_not_the_tabulated_reference_pmf(self):
-        # the paper-style tabulated pmf (0.3, 0.4, 0.2, 0.1) is input data,
-        # not derivable from this discretization
-        pmf = discretize_exponential(1.5, 3)
-        assert np.abs(pmf - np.array([0.3, 0.4, 0.2, 0.1])).max() > 0.01
-
-    def test_validation(self):
-        with pytest.raises(InvariantError):
-            discretize_exponential(-1.0, 3)
-        with pytest.raises(InvariantError):
-            discretize_exponential(1.0, 0)
-
-
 class TestExpectedFlights:
     def test_quarter(self):
         assert expected_flights(0.25) == 4.0
@@ -173,17 +93,17 @@ class TestExpectedFlights:
 class TestRunHistory:
     def test_no_motion(self):
         problem = single_region([1.0], 0.3)
-        assert run_history(problem, make_stream(0)) == 0
+        assert run_history(problem, np.random.default_rng(0)) == 0
 
     def test_single_forced_flight(self):
         # absorption certain, deterministic distance: exactly one flight of 2
         problem = single_region([0, 0, 1.0], 1.0)
         for seed in range(5):
-            assert run_history(problem, make_stream(seed)) == 2
+            assert run_history(problem, np.random.default_rng(seed)) == 2
 
     def test_first_flight_gate_without_guarantee(self):
         problem = single_region([0, 1.0], 1.0, first_flight_always=False)
-        outcomes = {run_history(problem, make_stream(s)) for s in range(5)}
+        outcomes = {run_history(problem, np.random.default_rng(s)) for s in range(5)}
         assert outcomes == {0}  # absorbed at the source before any flight
 
     # Recorded when each draw site began to take one uniform per live
@@ -235,9 +155,9 @@ class TestRunHistory:
     @pytest.mark.parametrize("case", ["table_a1", 15, 9, 31, 24])
     def test_golden_outcomes(self, table_a1, case):
         if case == "table_a1":
-            problem, rng = table_a1, make_stream(11)
+            problem, rng = table_a1, np.random.default_rng(11)
         else:
-            problem, rng = self.PROBLEMS[case], make_stream(case)
+            problem, rng = self.PROBLEMS[case], np.random.default_rng(case)
         assert [run_history(problem, rng) for _ in range(30)] == self.GOLDEN[case]
 
     @pytest.mark.parametrize(
@@ -254,15 +174,15 @@ class TestRunHistory:
             [0.5, 0.5], 1.0, flights=3, first_flight_always=first, reaction_timing=timing
         )
         assert len(problem.steps()) == sites
-        rng = make_stream(4)
+        rng = np.random.default_rng(4)
         run_history(problem, rng)
-        fresh = make_stream(4)
+        fresh = np.random.default_rng(4)
         fresh.random(2 if first else 1)
         assert rng.random() == fresh.random()
 
     def test_distribution_against_oracle(self, table_a1):
         histories = 20_000
-        rng = make_stream(77)
+        rng = np.random.default_rng(77)
         counts = np.zeros(16)
         for _ in range(histories):
             counts[run_history(table_a1, rng)] += 1
@@ -342,7 +262,7 @@ class TestRunTally:
     @pytest.mark.parametrize("timing", ["pre_flight", "post_flight"])
     @pytest.mark.parametrize("case", ["first", "gated", "absorbing", "d_max1", "d_max7"])
     def test_golden_counts(self, case, timing):
-        counts = run_tally(self.golden_problem(case, timing), 20_000, seed=3).counts
+        counts = run_tally(self.golden_problem(case, timing), 20_000, seed=3)
         want = self.GOLDEN[case]
         assert counts[: len(want)].tolist() == want
         assert not counts[len(want):].any()
@@ -352,11 +272,11 @@ class TestRunTally:
     def test_golden_tally_passes_chi_square(self, case, timing):
         # the tallies the goldens hold, tested against the oracle
         problem = self.golden_problem(case, timing)
-        counts = run_tally(problem, 20_000, seed=3).counts
+        counts = run_tally(problem, 20_000, seed=3)
         assert chi_square_p(counts, exact_distribution(problem)) > 1e-4
 
     def test_chi_square_against_oracle(self, table_a1):
-        counts = run_tally(table_a1, 1_000_000, seed=9).counts
+        counts = run_tally(table_a1, 1_000_000, seed=9)
         assert chi_square_p(counts, exact_distribution(table_a1)) > 1e-4
 
     def test_chi2_sf_matches_scipy(self):
@@ -368,12 +288,12 @@ class TestRunTally:
     def test_deterministic(self, table_a1):
         a = run_tally(table_a1, 10_000, seed=5)
         b = run_tally(table_a1, 10_000, seed=5)
-        np.testing.assert_array_equal(a.counts, b.counts)
-        assert np.any(a.counts != run_tally(table_a1, 10_000, seed=6).counts)
+        np.testing.assert_array_equal(a, b)
+        assert np.any(a != run_tally(table_a1, 10_000, seed=6))
 
     def test_counts_sum_to_shots(self, table_a1):
-        tally = run_tally(table_a1, 12345, seed=0)
-        assert tally.counts.sum() == 12345
+        counts = run_tally(table_a1, 12345, seed=0)
+        assert counts.sum() == 12345
 
     def test_zero_shots_rejected(self, table_a1):
         with pytest.raises(InvariantError):
@@ -381,10 +301,10 @@ class TestRunTally:
 
     def test_three_sigma_agreement_with_oracle(self, table_a1):
         shots = 1_000_000
-        tally = run_tally(table_a1, shots, seed=9)
+        counts = run_tally(table_a1, shots, seed=9)
         exact = exact_distribution(table_a1)
         sigma = np.sqrt(exact * (1 - exact) / shots)
-        assert (np.abs(tally.frequencies() - exact) < 3 * sigma + 1e-9).all()
+        assert (np.abs(counts / shots - exact) < 3 * sigma + 1e-9).all()
 
     def test_rmse_scaling_slope(self, table_a1):
         # distribution RMSE vs the oracle across decades of shots
@@ -394,7 +314,7 @@ class TestRunTally:
         for bi, shots in enumerate(budgets):
             errs = []
             for seed in range(10):
-                freq = run_tally(table_a1, shots, seed=1000 * bi + seed).frequencies()
+                freq = run_tally(table_a1, shots, seed=1000 * bi + seed) / shots
                 errs.append(np.sqrt(np.mean((freq - exact) ** 2)))
             rmses.append(np.mean(errs))
         slope = np.polyfit(np.log10(budgets), np.log10(rmses), 1)[0]
@@ -403,10 +323,10 @@ class TestRunTally:
     def test_matches_scalar_histories_in_distribution(self):
         rng = np.random.default_rng(31)
         problem = random_problem(rng, max_total_qubits=12)
-        tally = run_tally(problem, 50_000, seed=2)
+        counts = run_tally(problem, 50_000, seed=2)
         exact = exact_distribution(problem)
         sigma = np.sqrt(exact * (1 - exact) / 50_000)
-        assert (np.abs(tally.frequencies() - exact) < 4 * sigma + 1e-9).all()
+        assert (np.abs(counts / 50_000 - exact) < 4 * sigma + 1e-9).all()
 
 
 class TestBlockedStream:
@@ -430,7 +350,7 @@ class TestBlockedStream:
             x_qubits=6, max_flights=8, boundary=16, regions=self.PROBLEMS[kind],
             first_flight_always=first, reaction_timing=timing,
         )
-        rng, oracle = make_stream(shots), make_stream(shots)
+        rng, oracle = np.random.default_rng(shots), np.random.default_rng(shots)
         np.testing.assert_array_equal(
             classical_mc._simulate_counts(problem, shots, rng),
             full_draw_counts(problem, shots, oracle),
@@ -440,7 +360,7 @@ class TestBlockedStream:
     def test_buffered_uint32_kept(self, table_a1):
         # the sampler draws doubles only; the caller's next uint32 must still
         # be the buffered half of the 64-bit output it drew before
-        rng, oracle = make_stream(2), make_stream(2)
+        rng, oracle = np.random.default_rng(2), np.random.default_rng(2)
         for stream in (rng, oracle):
             stream.integers(2**32, dtype=np.uint32)
             assert stream.bit_generator.state["has_uint32"]
@@ -466,7 +386,7 @@ class TestBlockedStream:
             first_flight_always=False, reaction_timing=timing,
         )
         cdfs = [np.cumsum(r.distance_pmf) for r in problem.regions]
-        oracle = make_stream(shots)
+        oracle = np.random.default_rng(shots)
         positions, alive = [0] * shots, [True] * shots
         for step in flowchart_steps(problem):
             for i in range(shots):
@@ -478,7 +398,7 @@ class TestBlockedStream:
                     positions[i] += min(int(np.searchsorted(cdfs[high], u, "right")), problem.d_max)
                 else:
                     alive[i] = u < problem.regions[high].p_scatter
-        rng = make_stream(shots)
+        rng = np.random.default_rng(shots)
         counts = classical_mc._simulate_counts(problem, shots, rng)
         assert counts.tolist() == np.bincount(positions, minlength=len(counts)).tolist()
         assert rng.random() == oracle.random()

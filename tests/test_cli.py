@@ -11,10 +11,10 @@ import pytest
 from qtransport import classical_mc, cli, convergence, qae, sim, transport
 from qtransport.circuit import parse_circuit
 from qtransport.classical_mc import exact_distribution
-from qtransport.cli import main, parse_problem_dict, problem_to_dict
+from qtransport.cli import main, parse_problem_dict
 from qtransport.transport import build_transport_circuit
 
-from conftest import HAND_P_ZERO, SRC
+from conftest import HAND_P_ZERO, SRC, marginal, problem_to_dict
 
 TABLE_A1_DOC = {
     "x_qubits": 4,
@@ -53,9 +53,9 @@ def gate_level_csv(doc) -> str:
     """`exact`'s CSV from the gate-level statevector (apply_inplace, then
     marginal): the reference the register-level pass is held to."""
     tc = build_transport_circuit(parse_problem_dict(doc))
-    amplitudes = sim.zero_state(tc.circuit.qubit_count)
-    sim.apply_inplace(amplitudes, tc.circuit)
-    rows = enumerate(sim.marginal(amplitudes, tc.registers["X"]))
+    amplitudes = sim.zero_state(tc.qubit_count)
+    sim.apply_inplace(amplitudes, tc)
+    rows = enumerate(marginal(amplitudes, tc.registers["X"]))
     return "position,probability\n" + "".join(f"{i},{float(p)!r}\n" for i, p in rows)
 
 
@@ -376,6 +376,19 @@ class TestExitCodes:
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "geq:3").returncode == 5
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "near:4").returncode == 5
 
+    @pytest.mark.parametrize(
+        "args",
+        [("exact",), ("mc", "--shots", "10"), ("qae", "--predicate", "region2"), ("resources",)],
+        ids=lambda args: args[0],
+    )
+    def test_unwritable_out_is_1(self, table_a1_path, tmp_path, args):
+        out = str(tmp_path / "missing" / "out.txt")
+        result = run_cli(*args, "-p", table_a1_path, "--out", out)
+        assert result.returncode == 1
+        assert result.stderr.startswith("error: cannot write output file")
+        assert "Traceback" not in result.stderr
+        assert not os.path.exists(out)
+
 
 class TestExact:
     def test_reference_distribution(self, table_a1_path):
@@ -450,7 +463,7 @@ class TestExact:
     def test_22_qubits_matches_oracle(self, tmp_path, capsys):
         # x_qubits 6, 5 flights: 22 qubits, a 64 MiB state
         doc = dict(TABLE_A1_DOC, x_qubits=6, max_flights=5)
-        assert build_transport_circuit(parse_problem_dict(doc)).circuit.qubit_count == 22
+        assert build_transport_circuit(parse_problem_dict(doc)).qubit_count == 22
         path = tmp_path / "p.json"
         path.write_text(json.dumps(doc))
         dists = []
@@ -604,7 +617,7 @@ class TestQae:
         problem = parse_problem_dict(TABLE_A1_DOC)
         pred = qae.parse_predicate(predicate)
         # the gate-level A still gives the old recorded value
-        a = qae.build_a_operator(build_transport_circuit(problem), pred)
+        a = qae.build_a_operator(problem, pred)
         assert qae.exact_amplitude(a) == old
         oracle = exact_distribution(problem)[qae.predicate_mask(pred, problem)].sum()
         assert abs(new - old) <= 2e-15
@@ -664,10 +677,11 @@ class TestQae:
         assert main(args) == 5
 
     @pytest.mark.parametrize("command", ["qae", "convergence"])
-    @pytest.mark.parametrize("shots", ["0", "-2"])
+    @pytest.mark.parametrize("shots", ["0", "-2", str(1 << 63), str(10**20)])
     def test_nonpositive_shots_rejected_before_any_work(
         self, table_a1_path, monkeypatch, capsys, command, shots
     ):
+        # past 2^63 - 1, numpy's binomial draw would raise OverflowError
         def fail(*args, **kwargs):
             raise AssertionError("ran before the shot count was checked")
 
@@ -675,7 +689,14 @@ class TestQae:
         monkeypatch.setattr(qae, "predicate_probability", fail)
         args = [command, "-p", table_a1_path, "--predicate", "region2", "--shots-per-power", shots]
         assert main(args) == 5
-        assert "shots_per_power must be >= 1" in capsys.readouterr().err
+        want = ">= 1" if int(shots) < 1 else "at most 2^63 - 1"
+        assert f"shots_per_power must be {want}" in capsys.readouterr().err
+
+    def test_largest_shots_per_power_runs(self, table_a1_path, capsys):
+        args = ["qae", "-p", table_a1_path, "--predicate", "region2", "--schedule", "0,1",
+                "--shots-per-power", str((1 << 63) - 1)]
+        assert main(args) == 0
+        assert json.loads(capsys.readouterr().out)["shots_per_power"] == (1 << 63) - 1
 
 
 class TestResources:

@@ -18,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qtransport.circuit import dump_circuit, inverse, parse_circuit
-from qtransport.classical_mc import _simulate_counts, exact_distribution, make_stream
+from qtransport.classical_mc import _simulate_counts, exact_distribution
 from qtransport.qae import (
     _LIKELIHOOD_BLOCK,
     MAX_POWER,
@@ -73,9 +73,9 @@ def test_flag_probability_is_predicate_mass(seed, kind, v):
     problem = draw_problem(seed)
     pred = draw_predicate(kind, v, problem)
     tc = build_transport_circuit(problem)
-    a = build_a_operator(tc, pred)
+    a = build_a_operator(problem, pred)
     flag = a.registers["flag"][0]
-    assert not any(flag in g.qubits for g in a.gates[: tc.circuit.gate_count])
+    assert not any(flag in g.qubits for g in a.gates[: tc.gate_count])
     mass = transport_distribution(problem)[predicate_mask(pred, problem)].sum()
     assert abs(exact_amplitude(a) - mass) <= 1e-12
 
@@ -85,7 +85,7 @@ def test_flag_probability_is_predicate_mass(seed, kind, v):
 def test_register_level_flag_probability_matches_gate_level(seed, kind, v):
     problem = draw_problem(seed)
     pred = draw_predicate(kind, v, problem)
-    want = exact_amplitude(build_a_operator(build_transport_circuit(problem), pred))
+    want = exact_amplitude(build_a_operator(problem, pred))
     assert abs(predicate_probability(problem, pred) - want) <= 1e-12
 
 
@@ -101,7 +101,7 @@ def test_masked_support_read_is_the_flag_half_bitwise(seed, kind, v):
 @given(seed=problem_seeds, kind=predicate_kinds, v=st.integers(0, 31))
 def test_masked_flag_read_is_the_top_half_bitwise(seed, kind, v):
     problem = draw_problem(seed)
-    a = build_a_operator(build_transport_circuit(problem), draw_predicate(kind, v, problem))
+    a = build_a_operator(problem, draw_predicate(kind, v, problem))
     state = zero_state(a.qubit_count)
     apply_inplace(state, a)
     assert exact_amplitude(a) == top_half_probability(state)
@@ -112,8 +112,8 @@ def test_masked_flag_read_is_the_top_half_bitwise(seed, kind, v):
 def test_register_level_state_matches_gate_level(seed):
     problem = draw_problem(seed)
     tc = build_transport_circuit(problem)
-    want, support = zero_state(tc.circuit.qubit_count), zero_state(tc.circuit.qubit_count - 2)
-    apply_inplace(want, tc.circuit)
+    want, support = zero_state(tc.qubit_count), zero_state(tc.qubit_count - 2)
+    apply_inplace(want, tc)
     apply_transport_inplace(support, problem)
     np.testing.assert_allclose(embed_support(support, tc), want, rtol=0, atol=1e-12)
 
@@ -125,8 +125,8 @@ def test_gate_level_state_lives_on_the_support(seed):
     # register-level support on AncR = AncP = 0 and nothing elsewhere
     problem = draw_problem(seed)
     tc = build_transport_circuit(problem)
-    full, support = zero_state(tc.circuit.qubit_count), zero_state(tc.circuit.qubit_count - 2)
-    apply_inplace(full, tc.circuit)
+    full, support = zero_state(tc.qubit_count), zero_state(tc.qubit_count - 2)
+    apply_inplace(full, tc)
     apply_transport_inplace(support, problem)
     inside = support_slice(full, tc)
     np.testing.assert_allclose(inside, support.reshape(inside.shape), rtol=0, atol=1e-12)
@@ -144,8 +144,8 @@ def test_transport_matches_oracle(seed):
 
 
 def transport_and_a(seed: int):
-    tc = build_transport_circuit(draw_problem(seed))
-    return tc.circuit, build_a_operator(tc, Predicate.region2())
+    problem = draw_problem(seed)
+    return build_transport_circuit(problem), build_a_operator(problem, Predicate.region2())
 
 
 @DETERMINISTIC
@@ -174,7 +174,7 @@ def test_inverse_restores_random_state(seed, state_seed):
 @example(seed=0, shots=_BLOCK + 1, stream_seed=0)
 def test_blocked_tally_is_the_full_draw(seed, shots, stream_seed):
     problem = draw_problem(seed)
-    rng, oracle = make_stream(stream_seed), make_stream(stream_seed)
+    rng, oracle = np.random.default_rng(stream_seed), np.random.default_rng(stream_seed)
     np.testing.assert_array_equal(
         _simulate_counts(problem, shots, rng), full_draw_counts(problem, shots, oracle)
     )
@@ -193,7 +193,7 @@ def test_reaction_timings_give_the_same_tally(seed, shots, stream_seed):
     pre = dataclasses.replace(problem, reaction_timing="pre_flight")
     post = dataclasses.replace(problem, reaction_timing="post_flight")
     np.testing.assert_allclose(exact_distribution(pre), exact_distribution(post), rtol=0, atol=1e-12)
-    pre_rng, post_rng = make_stream(stream_seed), make_stream(stream_seed)
+    pre_rng, post_rng = np.random.default_rng(stream_seed), np.random.default_rng(stream_seed)
     np.testing.assert_array_equal(
         _simulate_counts(pre, shots, pre_rng), _simulate_counts(post, shots, post_rng)
     )

@@ -33,6 +33,7 @@ from conftest import (
     TABLE_A1_REGIONS,
     basis_state,
     flag_half_predicate_probability,
+    marginal,
     random_problem,
     simulated_grover_probabilities,
 )
@@ -63,30 +64,26 @@ class TestPredicates:
         )
 
     def test_geq_must_be_power_of_two(self, table_a1):
-        tc = build_transport_circuit(table_a1)
         with pytest.raises(PredicateError):
-            build_flag_oracle(tc, Predicate.geq(3))
+            build_flag_oracle(table_a1, Predicate.geq(3))
         with pytest.raises(PredicateError):
-            build_flag_oracle(tc, Predicate.geq(16))
+            build_flag_oracle(table_a1, Predicate.geq(16))
 
     def test_eq_range(self, table_a1):
-        tc = build_transport_circuit(table_a1)
         with pytest.raises(PredicateError):
-            build_flag_oracle(tc, Predicate.eq(16))
+            build_flag_oracle(table_a1, Predicate.eq(16))
 
 
 class TestFlagOracle:
     def test_eq_zero_flags_origin(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        oracle = build_flag_oracle(tc, Predicate.eq(0))
+        oracle = build_flag_oracle(table_a1, Predicate.eq(0))
         assert oracle.qubit_count == 15 and oracle.registers["flag"] == (14,)
         state = basis_state(15, 0)
         sim.apply_inplace(state, oracle)
-        assert sim.marginal(state, (14,))[1] == 1.0
+        assert marginal(state, (14,))[1] == 1.0
 
     def test_geq_matches_region_flag_gadget(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        oracle = build_flag_oracle(tc, Predicate.geq(4))
+        oracle = build_flag_oracle(table_a1, Predicate.geq(4))
         gadget = build_region_flag((0, 1, 2, 3), 4, oracle.registers["flag"][0])
         for xv in range(16):
             a = basis_state(15, xv)
@@ -96,23 +93,20 @@ class TestFlagOracle:
             np.testing.assert_array_equal(a, b)
 
     def test_amplitude_equals_oracle_mass(self, table_a1):
-        tc = build_transport_circuit(table_a1)
         dist = exact_distribution(table_a1)
         for pred in (Predicate.region2(), Predicate.geq(8), Predicate.eq(0), Predicate.eq(5)):
-            a = build_a_operator(tc, pred)
+            a = build_a_operator(table_a1, pred)
             p = exact_amplitude(a)
             want = dist[predicate_mask(pred, table_a1)].sum()
             assert abs(p - want) < 1e-9
 
     def test_unreachable_value_has_zero_amplitude(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.eq(15))  # max reachable is 9
+        a = build_a_operator(table_a1, Predicate.eq(15))  # max reachable is 9
         assert exact_amplitude(a) < 1e-15
 
     def test_no_motion_origin_is_certain(self):
         problem = no_motion_problem()
-        tc = build_transport_circuit(problem)
-        a = build_a_operator(tc, Predicate.eq(0))
+        a = build_a_operator(problem, Predicate.eq(0))
         assert abs(exact_amplitude(a) - 1.0) < 1e-12
 
 
@@ -121,9 +115,8 @@ class TestPredicateProbability:
 
     @staticmethod
     def assert_matches_gate_level(problem, preds):
-        tc = build_transport_circuit(problem)
         for pred in preds:
-            want = exact_amplitude(build_a_operator(tc, pred))
+            want = exact_amplitude(build_a_operator(problem, pred))
             assert abs(predicate_probability(problem, pred) - want) <= 1e-12, pred
 
     def test_table_a1(self, table_a1):
@@ -169,7 +162,7 @@ class TestPredicateProbability:
         # the transport circuit fits a 14-qubit ceiling; A needs 15
         monkeypatch.setenv("QTRANSPORT_MAX_QUBITS", "14")
         tc = build_transport_circuit(table_a1)
-        sim.zero_state(tc.circuit.qubit_count)
+        sim.zero_state(tc.qubit_count)
         with pytest.raises(CapacityError, match="15 qubits exceeds the configured ceiling of 14"):
             predicate_probability(table_a1, Predicate.region2())
 
@@ -177,14 +170,14 @@ class TestPredicateProbability:
 class TestFlagLocation:
     def test_a_adds_the_flag(self, table_a1):
         tc = build_transport_circuit(table_a1)
-        oracle = build_flag_oracle(tc, Predicate.region2())
-        a = build_a_operator(tc, Predicate.region2())
-        assert tc.circuit.qubit_count == 14 and "flag" not in tc.registers
+        oracle = build_flag_oracle(table_a1, Predicate.region2())
+        a = build_a_operator(table_a1, Predicate.region2())
+        assert tc.qubit_count == 14 and "flag" not in tc.registers
         assert a.qubit_count == 15 and a.registers == {**tc.registers, "flag": (14,)}
-        assert a.gates == tc.circuit.gates + oracle.gates
+        assert a.gates == tc.gates + oracle.gates
 
     def test_circuit_without_flag_rejected(self, table_a1):
-        transport = build_transport_circuit(table_a1).circuit
+        transport = build_transport_circuit(table_a1)
         with pytest.raises(InvariantError):
             exact_amplitude(transport)
         with pytest.raises(InvariantError):
@@ -195,15 +188,13 @@ class TestFlagLocation:
 
 class TestGroverOperator:
     def test_power_zero_is_plain_amplitude(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
+        a = build_a_operator(table_a1, Predicate.region2())
         p = exact_amplitude(a)
         probs = simulated_grover_probabilities(a, [0])
         assert abs(probs[0] - p) < 1e-12
 
     def test_rotation_identity(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
+        a = build_a_operator(table_a1, Predicate.region2())
         p = exact_amplitude(a)
         theta = math.asin(math.sqrt(p))
         powers = list(range(9))
@@ -212,22 +203,19 @@ class TestGroverOperator:
         np.testing.assert_allclose(probs, want, atol=1e-9)
 
     def test_zero_amplitude_is_fixed_point(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.eq(15))
+        a = build_a_operator(table_a1, Predicate.eq(15))
         probs = simulated_grover_probabilities(a, [0, 1, 2, 4])
         assert probs.max() < 1e-12
 
     def test_structure(self, table_a1):
-        tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
+        a = build_a_operator(table_a1, Predicate.region2())
         q = build_grover_operator(a)
         assert q.gate_count == 2 * a.gate_count + 4
         assert q.registers == a.registers
 
 
 def assert_closed_form_matches_gate_level(problem, text):
-    tc = build_transport_circuit(problem)
-    a = build_a_operator(tc, parse_predicate(text))
+    a = build_a_operator(problem, parse_predicate(text))
     powers = range(9)
     want = simulated_grover_probabilities(a, powers)
     got = amplified_probabilities(exact_amplitude(a), powers)
@@ -371,7 +359,7 @@ class TestMlqae:
         with pytest.raises(PredicateError):
             mlqae_estimate(p, [], 10, seed=0)
 
-    @pytest.mark.parametrize("shots", [0, -2])
+    @pytest.mark.parametrize("shots", [0, -2, 1 << 63])
     def test_nonpositive_shots_rejected(self, table_a1, shots):
         pred = Predicate.region2()
         p = predicate_probability(table_a1, pred)

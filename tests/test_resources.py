@@ -75,5 +75,5 @@ class TestCircuitBudget:
             problem = random_problem(rng)
             budget = circuit_budget(problem)
             tc = build_transport_circuit(problem)
-            assert budget["total_with_flag"] == tc.circuit.qubit_count + 1
-            assert sum(len(qs) for qs in tc.registers.values()) == tc.circuit.qubit_count
+            assert budget["total_with_flag"] == tc.qubit_count + 1
+            assert sum(len(qs) for qs in tc.registers.values()) == tc.qubit_count

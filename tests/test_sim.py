@@ -5,19 +5,18 @@ import numpy as np
 import pytest
 
 from qtransport import sim
-from qtransport.circuit import Circuit, h, mct, register_value, ry, x
+from qtransport.circuit import Circuit, h, mct, ry, x
 from qtransport.errors import CapacityError, InvariantError
 from qtransport.sim import (
     MAX_QUBITS_ENV,
     apply_inplace,
     low_marginal,
-    marginal,
     mask_probability,
     sample,
     zero_state,
 )
 
-from conftest import basis_state
+from conftest import basis_state, marginal, register_value
 from test_circuit import random_circuit
 
 THETA_REGION1 = 2 * math.acos(math.sqrt(0.25))

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qtransport import RegionSpec, TransportProblem, sim
-from qtransport.circuit import Circuit, GateKind, add_controls, encode_register
+from qtransport.circuit import Circuit, GateKind, add_controls
 from qtransport.classical_mc import exact_distribution
 from qtransport.errors import InvariantError
 from qtransport.qae import Predicate, build_a_operator
@@ -34,6 +34,8 @@ from conftest import (
     TABLE_A1_REGIONS,
     basis_state,
     embed_support,
+    encode_register,
+    marginal,
     random_pmf,
     random_problem,
 )
@@ -104,7 +106,7 @@ class TestDistributionLoader:
         c = build_distribution_loader(pmf, tuple(range(width)))
         state = sim.zero_state(max(width, 1))
         sim.apply_inplace(state, c)
-        return sim.marginal(state, c.registers["D"])
+        return marginal(state, c.registers["D"])
 
     def test_reference_angle_tree(self):
         c = build_distribution_loader((0.3, 0.4, 0.2, 0.1), (0, 1))
@@ -193,7 +195,7 @@ class TestReactionRotation:
         c = build_reaction_rotation(TABLE_A1_REGIONS, 0, 1)
         state = basis_state(2, anc_value)
         sim.apply_inplace(state, c)
-        return sim.marginal(state, (1,))[1]
+        return marginal(state, (1,))[1]
 
     def test_region1_scatter_probability(self):
         assert abs(self.probability(0) - 0.75) < 1e-12
@@ -279,7 +281,7 @@ class TestTransportCircuit:
         assert widths == {
             "X": 4, "AncR": 1, "D1": 2, "D2": 2, "D3": 2, "R2": 1, "R3": 1, "AncP": 1,
         }
-        assert tc.circuit.qubit_count == 14
+        assert tc.qubit_count == 14
 
     @pytest.mark.parametrize("timing", ["pre_flight", "post_flight"])
     @pytest.mark.parametrize("first_always", [True, False])
@@ -298,18 +300,18 @@ class TestTransportCircuit:
         # A adds the flag one past the transport qubits; only the oracle's
         # gates, which follow the transport gates, touch it
         tc = build_transport_circuit(table_a1)
-        a = build_a_operator(tc, Predicate.region2())
-        assert a.registers["flag"] == (tc.circuit.qubit_count,)
-        transport, oracle = a.gates[: tc.circuit.gate_count], a.gates[tc.circuit.gate_count :]
-        assert transport == tc.circuit.gates
-        assert all(tc.circuit.qubit_count not in g.qubits for g in transport)
-        assert oracle and all(tc.circuit.qubit_count in g.qubits for g in oracle)
+        a = build_a_operator(table_a1, Predicate.region2())
+        assert a.registers["flag"] == (tc.qubit_count,)
+        transport, oracle = a.gates[: tc.gate_count], a.gates[tc.gate_count :]
+        assert transport == tc.gates
+        assert all(tc.qubit_count not in g.qubits for g in transport)
+        assert oracle and all(tc.qubit_count in g.qubits for g in oracle)
 
     def test_progress_flag_gating_structure(self, table_a1):
         # one compute/uncompute MCT pair per gated flight, none for flight 1
         tc = build_transport_circuit(table_a1)
         mcts = [
-            g for g in tc.circuit.gates
+            g for g in tc.gates
             if g.kind is GateKind.PAULI_X and g.targets == tc.registers["AncP"] and g.controls
         ]
         assert len(mcts) == 4
@@ -334,7 +336,7 @@ class TestTransportCircuit:
         problem = dataclasses.replace(table_a1, first_flight_always=False)
         tc = build_transport_circuit(problem)
         assert "R1" in tc.registers
-        assert tc.circuit.qubit_count == 15
+        assert tc.qubit_count == 15
         np.testing.assert_allclose(
             transport_distribution(problem), exact_distribution(problem), atol=1e-9
         )
@@ -344,7 +346,7 @@ class TestTransportCircuit:
         rng = np.random.default_rng(9)
         for problem in [table_a1] + [random_problem(rng) for _ in range(20)]:
             tc = build_transport_circuit(problem)
-            assembled = set(tc.circuit.gates)
+            assembled = set(tc.gates)
             registers = tc.registers
             (anc_r,), (anc_p,) = registers["AncR"], registers["AncP"]
             for m in range(1, problem.max_flights + 1):
@@ -364,10 +366,10 @@ class TestTransportCircuit:
 
     def test_ancillae_restored(self, table_a1):
         tc = build_transport_circuit(table_a1)
-        state = sim.zero_state(tc.circuit.qubit_count)
-        sim.apply_inplace(state, tc.circuit)
-        assert sim.marginal(state, tc.registers["AncP"])[1] < 1e-12
-        assert sim.marginal(state, tc.registers["AncR"])[1] < 1e-12
+        state = sim.zero_state(tc.qubit_count)
+        sim.apply_inplace(state, tc)
+        assert marginal(state, tc.registers["AncP"])[1] < 1e-12
+        assert marginal(state, tc.registers["AncR"])[1] < 1e-12
 
 
 class TestOracleEquivalence:
@@ -389,11 +391,11 @@ def gate_and_register_states(problem, x_state=None):
     register-level pass, both started from |0> or from x_state on X; the
     register-level support is embedded in a full state that is zero off it."""
     tc = build_transport_circuit(problem)
-    gate_level = sim.zero_state(tc.circuit.qubit_count)
-    support = sim.zero_state(tc.circuit.qubit_count - 2)
+    gate_level = sim.zero_state(tc.qubit_count)
+    support = sim.zero_state(tc.qubit_count - 2)
     if x_state is not None:
         gate_level[: len(x_state)] = support[: len(x_state)] = x_state
-    sim.apply_inplace(gate_level, tc.circuit)
+    sim.apply_inplace(gate_level, tc)
     apply_transport_inplace(support, problem)
     return gate_level, embed_support(support, tc)
 
