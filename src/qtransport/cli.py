@@ -122,6 +122,28 @@ def _emit(text: str, out_path: str | None) -> None:
         raise QTransportError(f"cannot write output file: {exc}") from exc
 
 
+def _check_out(out_path: str | None) -> None:
+    """Raise the error `_emit` raises for an output file that cannot be
+    written, before any work and without creating anything: the path must
+    not be a directory, and its directory must exist and be writable."""
+    import os  # only here; the interpreter has already loaded it
+
+    if out_path is None:
+        return
+    directory = os.path.dirname(out_path) or os.curdir
+    if os.path.isdir(out_path):
+        reason = "is a directory"
+    elif not out_path or not os.path.isdir(directory):
+        reason = "no such directory"
+    elif not os.access(directory, os.W_OK | os.X_OK) or (
+        os.path.exists(out_path) and not os.access(out_path, os.W_OK)
+    ):
+        reason = "permission denied"
+    else:
+        return
+    raise QTransportError(f"cannot write output file: {reason}: {out_path!r}")
+
+
 def _csv(rows, header) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -211,10 +233,16 @@ def cmd_convergence(args) -> int:
         raise InvariantError(f"bad budget list {args.budgets!r}") from None
     if any(b < 1 for b in budgets):
         raise InvariantError("budgets must be >= 1")
-    # the quantum curve meets the engine's width check, so it runs first;
-    # the curves use independent seeds and the classical rows still lead
-    quantum = convergence.quantum_curve(problem, pred, schedule, args.shots_per_power, args.seeds)
-    points = convergence.classical_curve(problem, pred, budgets, args.seeds) + quantum
+    if args.seeds < 1:
+        raise InvariantError("need at least one seed")
+    qae.check_a_operator(problem, pred)
+    # both curves are measured against the DP oracle's mass, computed once
+    # after every check
+    p_true = convergence.exact_predicate_probability(problem, pred)
+    points = convergence.classical_curve(problem, pred, budgets, args.seeds, p_true)
+    points += convergence.quantum_curve(
+        problem, pred, schedule, args.shots_per_power, args.seeds, p_true
+    )
     rows = [(p.method, p.budget, repr(p.rmse)) for p in points]
     _emit(_csv(rows, ("method", "budget", "rmse")), args.out)
     return 0
@@ -285,6 +313,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out(args.out)
         return args.func(args)
     except QTransportError as exc:
         for kind, code in EXIT_CODES.items():

@@ -37,13 +37,13 @@ def exact_predicate_probability(problem: TransportProblem, pred: qae.Predicate) 
 
 
 def classical_curve(
-    problem: TransportProblem, pred: qae.Predicate, budgets, n_seeds: int
+    problem: TransportProblem, pred: qae.Predicate, budgets, n_seeds: int, p_true: float
 ) -> list[ConvergencePoint]:
-    """RMSE of the tally frequency of the predicate set, per shot budget."""
+    """RMSE of the tally frequency of the predicate set, per shot budget,
+    against p_true (`exact_predicate_probability`)."""
     if n_seeds < 1:
         raise InvariantError("need at least one seed")
     mask = qae.predicate_mask(pred, problem)
-    p_true = exact_predicate_probability(problem, pred)
     points = []
     for bi, shots in enumerate(budgets):
         errors = []
@@ -60,8 +60,10 @@ def quantum_curve(
     schedule,
     shots_per_power: int,
     n_seeds: int,
+    p_true: float,
 ) -> list[ConvergencePoint]:
-    """RMSE of MLQAE per schedule prefix, at that prefix's oracle-call budget.
+    """RMSE of MLQAE per schedule prefix, at that prefix's oracle-call
+    budget, against p_true (`exact_predicate_probability`).
 
     The flag probability of A|0> comes from one exact pass of A
     (`qae.predicate_probability`) and the Grover-power probabilities from
@@ -74,7 +76,6 @@ def quantum_curve(
     qae.check_shots_per_power(shots_per_power)
     p = qae.predicate_probability(problem, pred)
     probs = qae.amplified_probabilities(p, schedule)
-    p_true = exact_predicate_probability(problem, pred)
     shots = [shots_per_power] * len(schedule)
     errors = np.zeros((n_seeds, len(schedule)))
     for si in range(n_seeds):

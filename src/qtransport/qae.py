@@ -24,17 +24,20 @@ Estimation is maximum-likelihood over a schedule of Grover powers: shot
 counts at each power are fused into one likelihood over theta, maximized on
 a dense grid of 100 001 points and then on two 1001-point refinement
 windows. The dense round finds the grid's first maximum without building
-the grid or evaluating every point (`_likelihood_argmax`). The grid is cut
-into blocks of 64 points, and each block gets a rigorous upper bound of the
-log-likelihood from the range of sin^2((2m+1) theta) between its two end
-points. The 8 blocks with the highest bounds are evaluated, and then every
-block whose bound reaches their maximum; no other block can hold the
+the grid or evaluating every point (`_likelihood_argmax`). Any run of grid
+points gets a rigorous upper bound of the log-likelihood from the range of
+sin^2((2m+1) theta) between its two end points. The grid is cut into
+blocks of 64 points and the blocks into groups of 16; every group is
+bounded, and only the groups whose bounds can matter are split into
+blocks. The 8 best blocks of the 8 best groups are evaluated, and then
+every block whose bound reaches their maximum; no other block can hold the
 maximum. `_grid_points` computes just the thetas used, bit for bit as
 np.linspace places them, and every point's likelihood is computed by the
 same elementwise arithmetic (`_log_likelihood`) whichever points share its
 array, so the index, and every theta_hat and p_hat, is bit-identical to
 np.argmax over the whole grid, ties included. On an exp:6 schedule with 100
-shots per power the search evaluates under 1% of the blocks. A refinement
+shots per power the search bounds about a seventh of the ranges a pass over
+every block would, and evaluates under 1% of the blocks. A refinement
 window is two steps of the round before wide, so nearly all its blocks
 would survive the bound; each is evaluated on all its points instead.
 Malformed counts raise InvariantError (`check_counts`).
@@ -188,9 +191,16 @@ def predicate_probability(problem: TransportProblem, pred: Predicate) -> float:
     match. The predicate is checked first and the width check counts A's
     qubits; the only state-sized array is the support.
     """
+    check_a_operator(problem, pred)
+    return mask_probability(support_state(problem), predicate_mask(pred, problem))
+
+
+def check_a_operator(problem: TransportProblem, pred: Predicate) -> None:
+    """The checks made before A's state is built: PredicateError unless the
+    predicate fits the position register, then `sim.check_width` on A's
+    qubits, the transport circuit's and the flag past them."""
     _resolve(pred, problem)
     check_width(transport_widths(problem)[0] + 1)
-    return mask_probability(support_state(problem), predicate_mask(pred, problem))
 
 
 def check_powers(powers) -> tuple[int, ...]:
@@ -245,6 +255,8 @@ def oracle_calls(schedule, shots_per_power: int) -> int:
 _TINY = 1e-300  # floor on sin^2 and cos^2 before the log
 _LIKELIHOOD_BLOCK = 64  # grid points per block of the likelihood search
 _SEED_BLOCKS = 8  # blocks with the highest bounds, evaluated to set the floor
+_GROUP_BLOCKS = 16  # blocks per group of the first, coarser bound pass
+_SEED_GROUPS = 8  # groups with the highest bounds, split to find the seed blocks
 # Past this, (2m+1) theta is too coarse for its quadrant to be trusted.
 _WIDE_ARGUMENT = 2.0**40
 _U_SLOP = 1e-13  # relative error allowed on a computed sin^2
@@ -333,20 +345,48 @@ def _likelihood_argmax(lo: float, hi: float, points: int, powers, shots, hits) -
     uses are computed (`_grid_points`).
 
     The grid is cut into blocks of _LIKELIHOOD_BLOCK points (the last may
-    be shorter), bounded from their end points. The _SEED_BLOCKS blocks
-    with the highest bounds are evaluated, and their maximum is the floor.
-    Every other block whose bound reaches the floor (less 1e-9 relative) is
-    evaluated too; the rest cannot hold a maximum. Raises InvariantError if
-    the likelihood is not finite or a seed block exceeds its bound.
+    be shorter), and the blocks into groups of _GROUP_BLOCKS. Every group
+    is bounded from its end points; splitting a group bounds its blocks the
+    same way, and a group's bound is at least every likelihood value inside
+    it. The groups whose bounds reach the _SEED_GROUPS-th best group bound
+    are split, ties included, so the choice does not hang on the order of
+    tied bounds, and the _SEED_BLOCKS blocks with the highest bounds among
+    them are evaluated; their maximum is the floor. Every other group whose
+    bound reaches the floor (less 1e-9 relative) is split, and every other
+    block whose bound reaches it is evaluated; the rest cannot hold a
+    maximum. No group or block is bounded twice. Raises InvariantError if
+    the likelihood is not finite or a seed block exceeds its own or its
+    group's bound.
     """
     size = points + 1
     starts = np.arange(0, size, _LIKELIHOOD_BLOCK)
     ends = np.minimum(starts + _LIKELIHOOD_BLOCK - 1, size - 1)
-    bounds = _block_bounds(
-        _grid_points(lo, hi, points, starts), _grid_points(lo, hi, points, ends),
-        powers, shots, hits,
-    )
-    seeds = np.sort(np.argsort(bounds)[-_SEED_BLOCKS:])
+    count = len(starts)
+
+    def bound(first, last) -> np.ndarray:
+        # the runs of blocks first..last, from their end points
+        return _block_bounds(
+            _grid_points(lo, hi, points, starts[first]), _grid_points(lo, hi, points, ends[last]),
+            powers, shots, hits,
+        )
+
+    firsts = np.arange(0, count, _GROUP_BLOCKS)
+    group_bounds = bound(firsts, np.minimum(firsts + _GROUP_BLOCKS - 1, count - 1))
+    bounds = np.full(count, -np.inf)  # -inf until the block's group is split
+    unsplit = np.ones(len(firsts), dtype=bool)
+
+    def split(groups: np.ndarray) -> None:
+        if not len(groups):
+            return
+        blocks = (groups[:, None] * _GROUP_BLOCKS + np.arange(_GROUP_BLOCKS)).ravel()
+        blocks = blocks[blocks < count]
+        bounds[blocks] = bound(blocks, blocks)
+        unsplit[groups] = False
+
+    # every group whose bound reaches the _SEED_GROUPS-th best, ties included
+    best = min(_SEED_GROUPS, len(firsts))
+    split(np.flatnonzero(group_bounds >= np.partition(group_bounds, -best)[-best]))
+    seeds = np.sort(np.argpartition(bounds, -min(_SEED_BLOCKS, count))[-_SEED_BLOCKS:])
     seed_points = _block_points(seeds, size)
     seed_ll = _log_likelihood(_grid_points(lo, hi, points, seed_points), powers, shots, hits)
     floor = float(seed_ll.max())
@@ -355,8 +395,14 @@ def _likelihood_argmax(lo: float, hi: float, points: int, powers, shots, hits) -
     seed_max = np.maximum.reduceat(seed_ll, np.arange(0, len(seed_ll), _LIKELIHOOD_BLOCK))
     if (seed_max > bounds[seeds]).any():
         raise InvariantError("a likelihood block exceeds its bound")
-    rest = bounds >= floor - 1e-9 * (1.0 + abs(floor))
+    if (seed_max > group_bounds[seeds // _GROUP_BLOCKS]).any():
+        raise InvariantError("a likelihood block exceeds its group's bound")
+    cut = floor - 1e-9 * (1.0 + abs(floor))
+    split(np.flatnonzero(unsplit & (group_bounds >= cut)))
+    rest = bounds >= cut
     rest[seeds] = False
+    if not rest.any():
+        return int(seed_points[seed_ll == floor].min())
     rest_points = _block_points(np.flatnonzero(rest), size)
     rest_ll = _log_likelihood(_grid_points(lo, hi, points, rest_points), powers, shots, hits)
     indices = np.concatenate([seed_points, rest_points])

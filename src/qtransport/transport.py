@@ -298,10 +298,12 @@ _ANCILLAE = ("AncR", "AncP")
 
 def transport_widths(problem: TransportProblem) -> tuple[int, int]:
     """Qubits of the transport circuit and of its support, the registers
-    other than AncR and AncP (see `apply_transport_inplace`)."""
-    registers = transport_registers(problem)
-    n = sum(len(qubits) for qubits in registers.values())
-    return n, n - sum(len(registers[name]) for name in _ANCILLAE)
+    other than AncR and AncP (see `apply_transport_inplace`), counted in
+    closed form without building the layout: X, the two ancillae, d_width
+    qubits per flight and one R_m per gated flight."""
+    gated = problem.max_flights - 1 if problem.first_flight_always else problem.max_flights
+    n = problem.x_qubits + len(_ANCILLAE) + problem.max_flights * problem.d_width + gated
+    return n, n - len(_ANCILLAE)
 
 
 def build_transport_circuit(problem: TransportProblem) -> Circuit:
@@ -337,11 +339,21 @@ def build_transport_circuit(problem: TransportProblem) -> Circuit:
 # --- register-level simulation -----------------------------------------------
 
 def _loaded_amplitudes(pmf, width: int) -> np.ndarray:
-    """Amplitudes the distribution loader leaves on a fresh width-qubit register."""
-    if width == 0:
-        return np.ones(1, dtype=np.complex128)
-    amplitudes = sim.zero_state(width)
-    sim.apply_inplace(amplitudes, build_distribution_loader(pmf, range(width)))
+    """Amplitudes the distribution loader leaves on a fresh width-qubit
+    register, from the angles of its gates.
+
+    When the rotation on bit j under a prefix runs, that prefix's block
+    holds one nonzero amplitude a, at bit j and every lower bit 0, so it
+    puts a cos(angle/2) there and a sin(angle/2) at bit j = 1: what the
+    gate kernel's Y rotation computes on a target half that is still zero.
+    """
+    amplitudes = np.zeros(1 << width, dtype=np.complex128)
+    amplitudes[0] = 1.0
+    for gate in build_distribution_loader(pmf, range(width)).gates:
+        low = sum(positive << q for q, positive in gate.controls)
+        held = amplitudes[low]
+        amplitudes[low] = held * np.cos(gate.angle / 2.0)
+        amplitudes[low | 1 << gate.targets[0]] = held * np.sin(gate.angle / 2.0)
     return amplitudes
 
 

@@ -17,7 +17,12 @@ from qtransport.classical_mc import (
     expected_flights,
     mean_flights_uncapped,
 )
-from qtransport.convergence import classical_curve, loglog_slope, quantum_curve
+from qtransport.convergence import (
+    classical_curve,
+    exact_predicate_probability,
+    loglog_slope,
+    quantum_curve,
+)
 from qtransport.qae import (
     Predicate,
     build_a_operator,
@@ -182,7 +187,9 @@ SCALING_SEEDS = 20
 @pytest.fixture(scope="module")
 def classical_slope(table_a1_module):
     start = time.perf_counter()
-    points = classical_curve(table_a1_module, Predicate.region2(), SCALING_BUDGETS, SCALING_SEEDS)
+    pred = Predicate.region2()
+    p_true = exact_predicate_probability(table_a1_module, pred)
+    points = classical_curve(table_a1_module, pred, SCALING_BUDGETS, SCALING_SEEDS, p_true)
     return loglog_slope(points), time.perf_counter() - start, points
 
 
@@ -204,8 +211,10 @@ def test_c5_classical_scaling(classical_slope):
 def test_c6_quantum_scaling(table_a1_module, classical_slope):
     c_slope = classical_slope[0]
     start = time.perf_counter()
+    pred = Predicate.region2()
+    p_true = exact_predicate_probability(table_a1_module, pred)
     points = quantum_curve(
-        table_a1_module, Predicate.region2(), exponential_schedule(6), 100, SCALING_SEEDS
+        table_a1_module, pred, exponential_schedule(6), 100, SCALING_SEEDS, p_true
     )
     elapsed = time.perf_counter() - start
     q_slope = loglog_slope(points)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import numpy as np
@@ -375,6 +376,45 @@ class TestExitCodes:
     def test_bad_predicate_is_5(self, table_a1_path):
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "geq:3").returncode == 5
         assert run_cli("qae", "-p", table_a1_path, "--predicate", "near:4").returncode == 5
+
+    @pytest.mark.parametrize(
+        "args",
+        [("exact",), ("qae", "--predicate", "region2"), ("mc", "--mode", "circuit")],
+        ids=lambda args: args[0],
+    )
+    def test_million_flights_exit_4_at_once(self, tmp_path, monkeypatch, capsys, args):
+        # x_qubits 30 and 10^6 flights of d_max 1: a 2 000 031-qubit circuit,
+        # refused from its width in closed form, without building its layout
+        monkeypatch.delenv("QTRANSPORT_MAX_QUBITS", raising=False)
+        region = {"distance_pmf": [0.5, 0.5], "p_absorb": 0.3}
+        doc = {"x_qubits": 30, "max_flights": 10**6, "boundary": 1 << 29, "regions": [region] * 2}
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        assert main([args[0], "-p", str(path), *args[1:]]) == 4
+        assert time.perf_counter() - start < 1.0
+        width = 2_000_031 + (args[0] == "qae")  # A adds the flag
+        assert capsys.readouterr().err == (
+            f"error: {width} qubits exceeds the configured ceiling of 26\n"
+        )
+
+    def test_unwritable_out_is_1_before_the_work(self, tmp_path, capsys):
+        # 3e6 flowchart histories on the mc_long shape, absorbed at 10% per
+        # reaction, run for about half a second
+        regions = [dict(region, p_absorb=0.1) for region in TABLE_A1_DOC["regions"]]
+        doc = dict(TABLE_A1_DOC, x_qubits=8, max_flights=32, boundary=64, regions=regions)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "missing" / "x.csv"
+        start = time.perf_counter()
+        assert main(["mc", "-p", str(path), "--shots", "3000000", "--out", str(out)]) == 1
+        assert time.perf_counter() - start < 0.2
+        assert capsys.readouterr().err.startswith("error: cannot write output file")
+        assert not out.parent.exists()
+
+    def test_directory_out_is_1(self, table_a1_path, tmp_path, capsys):
+        assert main(["exact", "-p", table_a1_path, "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("error: cannot write output file")
 
     @pytest.mark.parametrize(
         "args",
@@ -753,6 +793,20 @@ class TestConvergence:
             "quantum,240,0.010263260934699949\n"
         )
 
+
+    def test_oracle_runs_once(self, table_a1_path, monkeypatch, capsys):
+        # both curves are measured against one DP-oracle mass
+        calls = []
+
+        def counting(problem):
+            calls.append(problem)
+            return exact_distribution(problem)
+
+        monkeypatch.setattr(classical_mc, "exact_distribution", counting)
+        args = ["convergence", "-p", table_a1_path, "--predicate", "region2",
+                "--budgets", "100", "--schedule", "exp:1", "--seeds", "2"]
+        assert main(args) == 0
+        assert len(calls) == 1
 
     def test_too_wide_rejected_before_any_tally(self, tmp_path, monkeypatch, capsys):
         # 32 flights make a 106-qubit A operator, past the dense engine's ceiling

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from qtransport.circuit import dump_circuit, inverse, parse_circuit
 from qtransport.classical_mc import _simulate_counts, exact_distribution
 from qtransport.qae import (
+    _GROUP_BLOCKS,
     _LIKELIHOOD_BLOCK,
     MAX_POWER,
     Predicate,
@@ -309,6 +310,19 @@ def test_block_bound_holds_every_block(inputs, grid):
     bounds = _block_bounds(grid[starts], grid[ends], *inputs)
     assert len(bounds) == -(-len(grid) // _LIKELIHOOD_BLOCK)
     assert (bounds >= block_maxima(_log_likelihood(grid, *inputs))).all()
+
+
+@SEARCH
+@given(inputs=likelihood_inputs(), grid=grids())
+def test_group_bound_holds_every_group(inputs, grid):
+    # the search's first pass bounds runs of _GROUP_BLOCKS blocks from their
+    # end points; a group's bound must hold every point of the group
+    size = _GROUP_BLOCKS * _LIKELIHOOD_BLOCK
+    starts = np.arange(0, len(grid), size)
+    ends = np.minimum(starts + size - 1, len(grid) - 1)
+    bounds = _block_bounds(grid[starts], grid[ends], *inputs)
+    ll = _log_likelihood(grid, *inputs)
+    assert (bounds >= np.maximum.reduceat(ll, starts)).all()
 
 
 @SEARCH

@@ -4,13 +4,15 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtransport import RegionSpec, TransportProblem, sim
+from qtransport import RegionSpec, TransportProblem, qae, sim
 from qtransport.classical_mc import exact_distribution
-from qtransport.convergence import quantum_curve
+from qtransport.convergence import exact_predicate_probability, quantum_curve
 from qtransport.errors import CapacityError, InvariantError, PredicateError
 from qtransport.qae import (
+    _LIKELIHOOD_BLOCK,
     MAX_POWER,
     Predicate,
+    _likelihood_argmax,
     _log_likelihood,
     amplified_probabilities,
     check_powers,
@@ -313,6 +315,29 @@ class TestMlqae:
         got = max_likelihood_theta(powers, [1.0] * len(powers), freqs)
         assert abs(got - theta) < 1e-6
 
+    def test_dense_round_on_tied_group_bounds(self, monkeypatch):
+        # hits of a benchmark qae command (qae_a1 workload seed 41, command
+        # 567) whose two best group bounds tie and whose maximum lies in the
+        # fifth best group: seeding from fewer groups evaluated 1121 blocks
+        powers, shots, hits = exponential_schedule(6), [100] * 7, [70, 56, 52, 58, 60, 63, 89]
+        bounded, evaluated = [], []
+
+        def bound(least, *args):
+            bounded.append(len(least))
+            return block_bounds(least, *args)
+
+        def likelihood(theta, *args):
+            evaluated.append(len(theta))
+            return _log_likelihood(theta, *args)
+
+        block_bounds = qae._block_bounds
+        monkeypatch.setattr(qae, "_block_bounds", bound)
+        monkeypatch.setattr(qae, "_log_likelihood", likelihood)
+        assert _likelihood_argmax(0.0, math.pi / 2, 100_000, powers, shots, hits) == 50201
+        assert sum(evaluated) <= 16 * _LIKELIHOOD_BLOCK
+        # 98 groups, then the blocks of the groups split: never all 1563
+        assert sum(bounded) < 98 + 1563 // 4
+
     @pytest.mark.parametrize(
         "powers, shots, hits",
         [
@@ -365,8 +390,9 @@ class TestMlqae:
         p = predicate_probability(table_a1, pred)
         with pytest.raises(PredicateError):
             mlqae_estimate(p, [0, 1], shots, seed=0)
+        p_true = exact_predicate_probability(table_a1, pred)
         with pytest.raises(PredicateError):
-            quantum_curve(table_a1, pred, [0, 1], shots, 3)
+            quantum_curve(table_a1, pred, [0, 1], shots, 3, p_true)
 
     def test_exponential_schedule(self):
         assert exponential_schedule(6) == (1, 2, 4, 8, 16, 32, 64)

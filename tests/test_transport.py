@@ -18,6 +18,7 @@ from qtransport.qae import Predicate, build_a_operator
 from qtransport.transport import (
     MOVE,
     REACT,
+    _loaded_amplitudes,
     _roll_x,
     apply_transport_inplace,
     build_controlled_adder,
@@ -27,6 +28,7 @@ from qtransport.transport import (
     build_transport_circuit,
     transport_distribution,
     transport_registers,
+    transport_widths,
 )
 
 from conftest import (
@@ -147,6 +149,19 @@ class TestDistributionLoader:
             got = self.loaded_marginal(pmf, width)
             np.testing.assert_allclose(got[: len(pmf)], pmf, atol=1e-12)
             assert got[len(pmf):].max(initial=0.0) < 1e-12
+
+    def test_loaded_amplitudes_are_the_kernel_bits(self):
+        # the register-level pass reads the loader's amplitudes from its
+        # gate angles; they must be the gate kernel's bits
+        rng = np.random.default_rng(23)
+        pmfs = [(1.0, 0.0, 0.0, 0.0), (0.4, 0.4, 0.2, 0.0), TABLE_A1_REGIONS[0].distance_pmf]
+        pmfs += [random_pmf(rng, int(rng.integers(1, 17))) for _ in range(200)]
+        for pmf in pmfs:
+            width = (len(pmf) - 1).bit_length() + int(rng.integers(0, 2))
+            state = sim.zero_state(width) if width else np.ones(1, dtype=np.complex128)
+            sim.apply_inplace(state, build_distribution_loader(pmf, range(width)))
+            got = _loaded_amplitudes(pmf, width)
+            np.testing.assert_array_equal(got.view(np.uint64), state.view(np.uint64))
 
     def test_empty_register_has_no_gates(self):
         c = build_distribution_loader((1.0,), ())
@@ -295,6 +310,22 @@ class TestTransportCircuit:
             )
             built = build_transport_circuit(problem).registers
             assert list(transport_registers(problem).items()) == list(built.items()), problem
+
+    @pytest.mark.parametrize("first_always", [True, False])
+    @pytest.mark.parametrize("no_motion", [False, True])
+    def test_widths_count_the_layout(self, table_a1, first_always, no_motion):
+        # the closed form against the register layout it stands for; d_max 0
+        # leaves every D_m empty
+        still = RegionSpec((1.0,), 0.3)
+        problems = [table_a1] + [random_problem(np.random.default_rng(s)) for s in range(300)]
+        for problem in problems:
+            problem = dataclasses.replace(problem, first_flight_always=first_always)
+            if no_motion:
+                problem = dataclasses.replace(problem, regions=(still, still))
+            registers = transport_registers(problem)
+            n = sum(map(len, registers.values()))
+            assert transport_widths(problem) == (n, n - 2), problem
+            assert len(registers["AncR"] + registers["AncP"]) == 2
 
     def test_flag_untouched(self, table_a1):
         # A adds the flag one past the transport qubits; only the oracle's
