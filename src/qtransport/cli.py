@@ -125,23 +125,19 @@ def _emit(text: str, out_path: str | None) -> None:
 def _check_out(out_path: str | None) -> None:
     """Raise the error `_emit` raises for an output file that cannot be
     written, before any work and without creating anything: the path must
-    not be a directory, and its directory must exist and be writable."""
+    not be a directory and must be writable, or, if it does not exist yet,
+    its directory must exist and be writable."""
     import os  # only here; the interpreter has already loaded it
 
     if out_path is None:
         return
     directory = os.path.dirname(out_path) or os.curdir
-    if os.path.isdir(out_path):
-        reason = "is a directory"
-    elif not out_path or not os.path.isdir(directory):
-        reason = "no such directory"
-    elif not os.access(directory, os.W_OK | os.X_OK) or (
-        os.path.exists(out_path) and not os.access(out_path, os.W_OK)
-    ):
-        reason = "permission denied"
+    if os.path.exists(out_path):
+        writable = not os.path.isdir(out_path) and os.access(out_path, os.W_OK)
     else:
-        return
-    raise QTransportError(f"cannot write output file: {reason}: {out_path!r}")
+        writable = os.access(directory, os.W_OK | os.X_OK)
+    if not writable:
+        raise QTransportError(f"cannot write output file: {out_path!r}")
 
 
 def _csv(rows, header) -> str:
