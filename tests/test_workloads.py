@@ -42,16 +42,6 @@ def run_workload(workload: str, seed: int, index: int, directory) -> tuple:
     return argv, output, exact_distribution(problem), problem.boundary
 
 
-def test_cases_cover_every_workload_and_predicate():
-    assert {case[0] for case in CASES} == set(workloads.WORKLOADS)
-    predicates = {
-        workloads.QAE_PREDICATES[index % len(workloads.QAE_PREDICATES)]
-        for workload, _, index in CASES
-        if workload == "qae_a1"
-    }
-    assert predicates == set(workloads.QAE_PREDICATES)
-
-
 @pytest.mark.parametrize("workload, seed, index", CASES)
 def test_output_passes_the_benchmark_check(workload, seed, index, tmp_path):
     argv, output, oracle, boundary = run_workload(workload, seed, index, tmp_path)
