@@ -81,7 +81,11 @@ def parse_problem_dict(doc) -> TransportProblem:
             raise ProblemFormatError("region field 'distance_pmf' must be a list of numbers")
         if not _is_a(entry.get("p_absorb"), (int, float)):
             raise ProblemFormatError("region field 'p_absorb' must be a number")
-        regions.append(RegionSpec(tuple(pmf), float(entry["p_absorb"])))
+        try:  # a JSON integer can be past float range
+            pmf, p_absorb = tuple(float(p) for p in pmf), float(entry["p_absorb"])
+        except OverflowError as exc:
+            raise ProblemFormatError(f"region field is past float range: {exc}") from exc
+        regions.append(RegionSpec(pmf, p_absorb))
     first = doc.get("first_flight_always", True)
     if not isinstance(first, bool):
         raise ProblemFormatError("field 'first_flight_always' must be a boolean")
@@ -108,6 +112,8 @@ def load_problem(path: str) -> TransportProblem:
         raise ProblemFormatError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"problem file is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ProblemFormatError("problem file nests too deeply to parse") from exc
     return parse_problem_dict(doc)
 
 

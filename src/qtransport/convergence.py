@@ -9,7 +9,6 @@ classical tally, steeper for the likelihood-fused quantum estimator.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,29 +65,24 @@ def quantum_curve(
     budget, against p_true (`exact_predicate_probability`).
 
     The flag probability of A|0> comes from one exact pass of A
-    (`qae.predicate_probability`) and the Grover-power probabilities from
-    `qae.amplified_probabilities`; per seed only the shot counts and
-    likelihood maximization are redrawn.
+    (`qae.predicate_probability`); per seed and prefix `qae.mlqae_estimate`
+    redraws the shot counts and maximizes the likelihood. Its stream gives
+    a seed the same counts at the powers its prefixes share.
     """
     schedule = tuple(int(m) for m in schedule)
     if not schedule or n_seeds < 1:
         raise InvariantError("need a non-empty schedule and at least one seed")
     qae.check_shots_per_power(shots_per_power)
     p = qae.predicate_probability(problem, pred)
-    probs = qae.amplified_probabilities(p, schedule)
-    shots = [shots_per_power] * len(schedule)
-    errors = np.zeros((n_seeds, len(schedule)))
-    for si in range(n_seeds):
-        rng = np.random.default_rng(derive_seed(si, 0, 1))
-        hits = [int(rng.binomial(shots_per_power, p)) for p in probs]
-        for prefix in range(1, len(schedule) + 1):
-            theta = qae.theta_from_hits(schedule[:prefix], shots[:prefix], hits[:prefix])
-            errors[si, prefix - 1] = math.sin(theta) ** 2 - p_true
     points = []
     for prefix in range(1, len(schedule) + 1):
-        budget = qae.oracle_calls(schedule[:prefix], shots_per_power)
-        rmse = float(np.sqrt(np.mean(errors[:, prefix - 1] ** 2)))
-        points.append(ConvergencePoint("quantum", budget, rmse))
+        estimates = [
+            qae.mlqae_estimate(p, schedule[:prefix], shots_per_power, derive_seed(si, 0, 1))
+            for si in range(n_seeds)
+        ]
+        errors = np.array([estimate.p_hat for estimate in estimates]) - p_true
+        rmse = float(np.sqrt(np.mean(errors**2)))
+        points.append(ConvergencePoint("quantum", estimates[0].total_oracle_calls, rmse))
     return points
 
 

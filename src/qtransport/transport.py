@@ -388,11 +388,15 @@ def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -
         last; `build_distribution_loader` and `build_reaction_rotation`
         supply the amplitudes;
       - adder: on the slab where D_m = d >= 1 and every gated R_j is 1,
-        a cyclic shift of X by d, which is the modular add exactly.
-    Both write in place: the loader multiplies each region's X range by a
-    table of (r, d) scalars, and the shift moves a block at a time
-    (`_roll_x`), so the scratch is one block of sim._BLOCK amplitudes, not
-    a copy of a slab.
+        a cyclic shift of X by d, which is the modular add exactly. That
+        slab is written once more, after both regions' unshifted values:
+        X = x + d mod 2^x_qubits gets old[0, 0][x] * load[d] * react[1]
+        (load[d] alone for an ungated flight) for x's region, read from
+        old before it is scaled.
+    Every product is written with `out=` into the state, so the pass
+    allocates nothing of the state's size: the loader multiplies each
+    region's X range by a table of (r, d) scalars, and the adder writes
+    each moved amplitude into its shifted place straight from old.
 
     `build_transport_circuit` is the definition this pass must reproduce;
     the tests compare the two on full states. Raises InvariantError if the
@@ -416,7 +420,8 @@ def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -
     def part(values: dict) -> np.ndarray:
         return state[tuple(values.get(name, slice(None)) for name in names)]
 
-    boundary = problem.boundary  # region 1 is X < boundary, region 2 the rest
+    size, boundary = problem.position_count, problem.boundary
+    regions = ((0, boundary), (boundary, size))  # region 1 is X < boundary
     load = [_loaded_amplitudes(spec.distance_pmf, problem.d_width) for spec in problem.regions]
     react = _reaction_amplitudes(problem.regions)
     no_reaction = (np.ones(1), np.ones(1))  # r = 0 only; the flight has no R axis
@@ -424,6 +429,7 @@ def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -
     gating: dict[str, int] = {}  # every gated R_j so far, held at 1
     for m in range(1, problem.max_flights + 1):
         d_name, r_name = f"D{m}", f"R{m}"
+        source = part({**at_zero, **gating})  # D_m = R_m = 0, earlier gated R_j at 1
         del at_zero[d_name]
         if problem.has_reaction(m):
             del at_zero[r_name]
@@ -433,50 +439,31 @@ def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -
         if not problem.has_reaction(m):
             block = block[None]  # r = 0 only, on a length-1 axis
         old = block[0, 0]
-        for k, region in enumerate((slice(None, boundary), slice(boundary, None))):
-            # scale[r, d] = load[d] * react[r], shaped to broadcast over old
-            scale = (load[k][None, :] * reaction[k][:, None]).reshape(
-                block.shape[:2] + (1,) * old.ndim
-            )
-            new, held = block[..., region], old[..., region]
-            for r in range(1, len(scale)):
-                np.multiply(held, scale[r], out=new[r])
-            np.multiply(held, scale[0, 1:], out=new[0, 1:])
-            np.multiply(held, scale[0, 0], out=held)  # (r, d) = (0, 0) is old itself
+        # scale[k][r, d] = load[d] * react[r] for region k, shaped to broadcast over old
+        scale = [
+            (load[k][None, :] * reaction[k][:, None]).reshape(block.shape[:2] + (1,) * old.ndim)
+            for k in range(2)
+        ]
+        for k, (lo, hi) in enumerate(regions):
+            new, held = block[..., lo:hi], old[..., lo:hi]
+            for r in range(1, len(scale[k])):
+                np.multiply(held, scale[k][r], out=new[r])
+            np.multiply(held, scale[k][0, 1:], out=new[0, 1:])
+        # the adder's slab (D_m = d, every gated R_j at 1) is rewritten from the
+        # unscaled source at X = x + d mod size, over both regions' values above
         for d in range(1, len(load[0])):
-            _roll_x(part({**at_zero, **gating, d_name: d}), d)
+            moved = part({**at_zero, **gating, d_name: d})
+            for k, (lo, hi) in enumerate(regions):
+                factor = scale[k][-1, d].item()
+                cut = max(lo, min(hi, size - d))  # [cut, hi) wraps to the bottom
+                for start, stop, shift in ((lo, cut, d), (cut, hi, d - size)):
+                    if start < stop:
+                        window = moved[..., start + shift : stop + shift]
+                        np.multiply(source[..., start:stop], factor, out=window)
+        for k, (lo, hi) in enumerate(regions):
+            held = old[..., lo:hi]
+            np.multiply(held, scale[k][0, 0], out=held)  # (r, d) = (0, 0) is old itself
     sim.check_norm(amplitudes)
-
-
-def _roll_x(slab: np.ndarray, d: int) -> None:
-    """np.roll(slab, d, axis=-1) in place, a block of rows at a time, so the
-    scratch is at most one block of sim._BLOCK amplitudes.
-
-    Rows of at most a block are grouped by splitting the leading axes, so
-    each group is one block. A longer row saves its last d amplitudes (at
-    most a block per pass), moves the rest up in place and puts them in
-    front.
-    """
-    shape = slab.shape
-    if slab.size <= sim._BLOCK:
-        slab[...] = np.roll(slab, d, axis=-1)
-    elif shape[-1] > sim._BLOCK:
-        for row in np.ndindex(shape[:-1]):
-            line = slab[row]
-            for shift in [sim._BLOCK] * (d // sim._BLOCK) + [d % sim._BLOCK]:
-                if shift:
-                    held = line[-shift:].copy()
-                    line[shift:] = line[:-shift]  # one axis: copied from the top down
-                    line[:shift] = held
-    else:
-        split = len(shape) - 1  # shape[split:] is a group of whole rows
-        while math.prod(shape[split - 1 :]) <= sim._BLOCK:
-            split -= 1
-        step = sim._BLOCK // math.prod(shape[split:])
-        for outer in np.ndindex(shape[: split - 1]):
-            for start in range(0, shape[split - 1], step):
-                group = slab[(*outer, slice(start, start + step))]
-                group[...] = np.roll(group, d, axis=-1)
 
 
 def support_state(problem: TransportProblem) -> np.ndarray:

@@ -248,7 +248,14 @@ class TestProblemParsing:
 
     @pytest.mark.parametrize(
         "field, value",
-        [("distance_pmf", [True, False]), ("distance_pmf", [0.5, 0.5, True]), ("p_absorb", False)],
+        [
+            ("distance_pmf", [True, False]),
+            ("distance_pmf", [0.5, 0.5, True]),
+            ("p_absorb", False),
+            # JSON integers past float range
+            pytest.param("distance_pmf", [10**400, 0.0], id="distance_pmf-huge_int"),
+            pytest.param("p_absorb", 10**400, id="p_absorb-huge_int"),
+        ],
     )
     def test_booleans_rejected_in_numeric_region_fields(self, tmp_path, field, value):
         from qtransport.errors import ProblemFormatError
@@ -264,12 +271,15 @@ class TestProblemParsing:
 
 class TestExitCodes:
     def test_malformed_json_is_2_and_no_output(self, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        out = tmp_path / "out.csv"
-        result = run_cli("exact", "-p", str(bad), "-o", str(out))
-        assert result.returncode == 2
-        assert not out.exists()
+        # the second text is valid JSON nested past json.load's recursion limit
+        for text in ("{not json", "[" * 100_000 + "]" * 100_000):
+            bad = tmp_path / "bad.json"
+            bad.write_text(text)
+            out = tmp_path / "out.csv"
+            result = run_cli("exact", "-p", str(bad), "-o", str(out))
+            assert result.returncode == 2
+            assert "Traceback" not in result.stderr
+            assert not out.exists()
 
     def test_unknown_field_is_2(self, tmp_path):
         doc = dict(TABLE_A1_DOC, surprise=True)

@@ -19,7 +19,6 @@ from qtransport.transport import (
     MOVE,
     REACT,
     _loaded_amplitudes,
-    _roll_x,
     apply_transport_inplace,
     build_controlled_adder,
     build_distribution_loader,
@@ -463,6 +462,17 @@ class TestRegisterLevel:
         want, got = gate_and_register_states(table_a1, x_state / np.linalg.norm(x_state))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("first_always", [True, False])
+    def test_any_x_state_wraps_inside_region_1(self, first_always):
+        # 4 positions, boundary 2, d up to 3: for d = 3, size - d = 1 falls
+        # inside region 1, so that region's shift wraps part of its range
+        regions = (RegionSpec((0.1, 0.2, 0.3, 0.4), 0.3), RegionSpec((0.4, 0.1, 0.2, 0.3), 0.6))
+        problem = TransportProblem(2, 1, 2, regions, first_always)
+        rng = np.random.default_rng(5)
+        x_state = rng.normal(size=4) + 1j * rng.normal(size=4)
+        want, got = gate_and_register_states(problem, x_state / np.linalg.norm(x_state))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
     # the support of the 14-qubit circuit is 12 qubits, so a full state is
     # rejected too
     @pytest.mark.parametrize("qubits", [11, 13, 14, 15])
@@ -513,16 +523,6 @@ class TestRegisterLevel:
             tracemalloc.stop()
         assert peak <= state.nbytes + dist.nbytes + 16 * sim._BLOCK + (64 << 10)
         np.testing.assert_allclose(dist[:2], [0.5, 0.5], rtol=0, atol=1e-15)
-
-    @pytest.mark.parametrize("d", [1, 3, 2**16, 2**16 + 5, 2**17 - 1])
-    @pytest.mark.parametrize("shape", [(4, 8), (3, 2**10, 8), (2, 3, 2**14), (2, 2**17)])
-    def test_roll_x_matches_roll(self, shape, d):
-        rng = np.random.default_rng(d)
-        base = rng.normal(size=(*shape[:-1], 2, shape[-1])) + 0j
-        slab = base[..., 1, :]  # a strided view, as the pass hands it over
-        want = np.roll(slab, d, axis=-1)
-        _roll_x(slab, d)
-        np.testing.assert_array_equal(slab, want)
 
     def test_norm_check_raises_under_optimize(self):
         # `python -O` strips asserts, so the check must be a raise; the
