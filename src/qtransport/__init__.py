@@ -44,12 +44,12 @@ from .sim import apply_inplace, mask_probability, sample, zero_state
 from .transport import (
     RegionSpec,
     TransportProblem,
-    apply_transport_inplace,
     build_controlled_adder,
     build_distribution_loader,
     build_region_flag,
     build_reaction_rotation,
     build_transport_circuit,
+    transport_branches,
     transport_distribution,
     transport_registers,
     transport_widths,

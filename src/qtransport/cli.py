@@ -112,6 +112,8 @@ def load_problem(path: str) -> TransportProblem:
         raise ProblemFormatError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"problem file is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's digit limit
+        raise ProblemFormatError(f"problem file has a number too long to read: {exc}") from exc
     except RecursionError as exc:
         raise ProblemFormatError("problem file nests too deeply to parse") from exc
     return parse_problem_dict(doc)

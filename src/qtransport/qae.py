@@ -14,11 +14,11 @@ check it against.
 
 The predicate oracle only copies the amplitudes of the positions it selects
 into the flag = 1 half, so that pass needs no flag: it reads the predicate's
-mass from the transport circuit's support state (`transport.support_state`,
-every register but AncR and AncP, which end in |0>), an eighth of A's
-2^(n+1) amplitudes, with `sim.mask_probability`. The ceiling still counts
-A's qubits. `exact_amplitude(a)` runs the whole gate-level A and is the
-reference the tests hold it to.
+mass from the transport branches (`transport.transport_branches`, one
+amplitude and one position per value of the registers other than X, AncR
+and AncP), summed block by block as `sim.mask_probability` sums a dense
+state. The ceiling still counts A's qubits. `exact_amplitude(a)` runs the
+whole gate-level A and is the reference the tests hold it to.
 
 Estimation is maximum-likelihood over a schedule of Grover powers: shot
 counts at each power are fused into one likelihood over theta, maximized on
@@ -54,12 +54,12 @@ import numpy as np
 
 from .circuit import Circuit, compose, inverse, phase_shift, x
 from .errors import InvariantError, PredicateError
-from .sim import apply_inplace, check_width, mask_probability, zero_state
+from .sim import _BLOCK, apply_inplace, check_width, mask_probability, zero_state
 from .transport import (
     TransportProblem,
     build_region_flag,
     build_transport_circuit,
-    support_state,
+    transport_branches,
     transport_registers,
     transport_widths,
 )
@@ -122,11 +122,15 @@ def _resolve(pred: Predicate, problem: TransportProblem) -> Predicate:
     return pred
 
 
+def _selects(pred: Predicate, problem: TransportProblem, positions: np.ndarray) -> np.ndarray:
+    """Which of the given positions the predicate selects."""
+    pred = _resolve(pred, problem)
+    return positions >= pred.value if pred.kind == GEQ else positions == pred.value
+
+
 def predicate_mask(pred: Predicate, problem: TransportProblem) -> np.ndarray:
     """Boolean mask over position values selected by the predicate."""
-    pred = _resolve(pred, problem)
-    positions = np.arange(problem.position_count)
-    return positions >= pred.value if pred.kind == GEQ else positions == pred.value
+    return _selects(pred, problem, np.arange(problem.position_count))
 
 
 def build_flag_oracle(problem: TransportProblem, pred: Predicate) -> Circuit:
@@ -186,13 +190,30 @@ def predicate_probability(problem: TransportProblem, pred: Predicate) -> float:
     """Flag |1> probability of A|0> for A = build_a_operator(problem, pred).
 
     The oracle copies the selected positions' amplitudes into A's flag = 1
-    half, so this is their mass in the transport support state; it is summed
-    as the flag half would be, block by block in the same order, so the bits
-    match. The predicate is checked first and the width check counts A's
-    qubits; the only state-sized array is the support.
+    half, so this is their mass in the transport branches. It is summed as
+    `sim.mask_probability` sums the dense support, so the bits match: each
+    block of `sim._BLOCK` support amplitudes (the whole support if smaller)
+    is one zeroed buffer with the block's selected squares scattered to
+    their places in it, and the blocks' sums are added in order. The
+    predicate is checked first and the width check counts A's qubits; no
+    array has the support's size.
     """
     check_a_operator(problem, pred)
-    return mask_probability(support_state(problem), predicate_mask(pred, problem))
+    amplitudes, positions = transport_branches(problem)
+    width = problem.x_qubits
+    squares = np.square(np.abs(amplitudes))
+    squares[~_selects(pred, problem, positions)] = 0.0
+    block = np.zeros(min(_BLOCK, len(squares) << width))
+    step = max(1, _BLOCK >> width)  # branches per block
+    total = 0.0
+    for start in range(0, len(squares), step):
+        chunk = slice(start, start + step)
+        # branch i sits at support index (i << width) + position
+        places = ((np.arange(len(squares[chunk])) << width) + positions[chunk]) & (len(block) - 1)
+        block[places] = squares[chunk]
+        total += block.sum()
+        block[places] = 0.0
+    return float(total)
 
 
 def check_a_operator(problem: TransportProblem, pred: Predicate) -> None:
@@ -309,13 +330,15 @@ def _block_bounds(least: np.ndarray, greatest: np.ndarray, powers, shots, hits) 
     Within a block the arguments (2m+1) theta, computed as the likelihood
     computes them, lie between their values at the block's least and
     greatest theta, so while they stay inside one quarter period
-    u = sin^2((2m+1) theta) lies between its values there. A block whose
-    arguments reach a multiple of pi/2, or pass _WIDE_ARGUMENT, gets the
-    whole range [0, 1]. The term h log u + (s - h) log(1 - u) is concave in
-    u with its peak at h/s, so over a range of u it is largest at h/s
-    clamped into that range. The range is widened by _U_SLOP against sin's
-    rounding and the sum by _BOUND_SLOP against the log's, so each bound is
-    at least every value `_log_likelihood` computes in its block.
+    u = sin^2((2m+1) theta) lies between its values there. Where they reach
+    an odd multiple of pi/2 the range goes up to 1, and where they reach a
+    multiple of pi (0 included) it goes down to 0; a block whose arguments
+    pass _WIDE_ARGUMENT gets the whole range [0, 1]. The term
+    h log u + (s - h) log(1 - u) is concave in u with its peak at h/s, so
+    over a range of u it is largest at h/s clamped into that range. The
+    range is widened by _U_SLOP against sin's rounding and the sum by
+    _BOUND_SLOP against the log's, so each bound is at least every value
+    `_log_likelihood` computes in its block.
     """
     # one row per power; the products are the likelihood's own
     lo_arg = np.array([np.multiply(2 * m + 1, least) for m in powers])
@@ -323,11 +346,16 @@ def _block_bounds(least: np.ndarray, greatest: np.ndarray, powers, shots, hits) 
     u_least, u_greatest = np.square(np.sin(lo_arg)), np.square(np.sin(hi_arg))
     u_lo = np.minimum(u_least, u_greatest) * (1.0 - _U_SLOP)
     u_hi = np.minimum(np.maximum(u_least, u_greatest) * (1.0 + _U_SLOP), 1.0)
-    # quarter periods, with margin for the rounding of the division
-    lo_quarter, hi_quarter = lo_arg / (math.pi / 2), hi_arg / (math.pi / 2)
-    margin = 1e-15 * (1.0 + hi_quarter)
-    wide = np.floor(lo_quarter - margin) != np.floor(hi_quarter + margin)
-    wide |= hi_arg > _WIDE_ARGUMENT
+    # half periods of u, widened for the rounding of the division: u is 0
+    # at a whole one and 1 halfway between
+    half = np.array([lo_arg, hi_arg]) / math.pi
+    margin = 5e-16 * (1.0 + 2.0 * half[1])
+    half[0] -= margin
+    half[1] += margin
+    zero, one = np.floor(half), np.floor(half + 0.5)
+    u_lo[zero[0] != zero[1]] = 0.0
+    u_hi[one[0] != one[1]] = 1.0
+    wide = hi_arg > _WIDE_ARGUMENT
     u_lo[wide], u_hi[wide] = 0.0, 1.0
     hit = np.array(hits, dtype=float)[:, None]
     miss = np.array(shots, dtype=float)[:, None] - hit

@@ -7,13 +7,12 @@ the one way to run a circuit gate by gate and the one gate kernel: it views
 the array with a length-2 axis per qubit a gate touches and one merged axis
 per run of untouched qubits, then fixes the control axes, so each gate
 reads and writes basic-slicing views of its controlled subspace and no
-index arrays are built. `transport.apply_transport_inplace` writes the
+index arrays are built. `transport.transport_branches` computes the
 transport circuit's state at register level instead, and the tests hold it
 to this kernel; both end with `check_norm`. `check_width` is the ceiling
 check of `zero_state` on its own, for callers whose state is narrower than
-their circuit. `low_marginal` and `mask_probability` read the same
-layout; both square and sum a block of amplitudes at a time, so their
-scratch is one block, not a float64 copy of the state.
+their circuit. `mask_probability` squares and sums a block of amplitudes at
+a time, so its scratch is one block, not a float64 copy of the state.
 
 `sample` draws shots from a probability vector sequentially and vectorized
 from a single seeded stream, a block of 2^16 uniforms at a time, so counts
@@ -161,29 +160,6 @@ def check_norm(amplitudes: np.ndarray) -> None:
     norm = float(np.linalg.norm(amplitudes))
     if abs(norm - 1.0) >= 1e-9:
         raise InvariantError(f"statevector norm drifted to {norm!r}")
-
-
-def _squares(amplitudes: np.ndarray) -> np.ndarray:
-    squares = np.abs(amplitudes)
-    return np.square(squares, out=squares)
-
-
-def low_marginal(amplitudes: np.ndarray, width: int) -> np.ndarray:
-    """Probability of each integer value of the register on the lowest
-    `width` qubits (qubit 0 is the value's 2^0 place).
-
-    The rows of the (-1, 2^width) view are squared and summed a block of
-    2^16 amplitudes at a time (a row longer than that in pieces of a
-    block), so the scratch is one block, not a float64 copy of the state.
-    """
-    rows = amplitudes.reshape(-1, 1 << width)
-    step = max(1, _BLOCK >> width)
-    probs = np.zeros(rows.shape[1])
-    for start in range(0, len(rows), step):
-        block = rows[start : start + step]
-        for col in range(0, rows.shape[1], _BLOCK):
-            probs[col : col + _BLOCK] += _squares(block[:, col : col + _BLOCK]).sum(axis=0)
-    return probs
 
 
 def mask_probability(amplitudes: np.ndarray, mask) -> float:

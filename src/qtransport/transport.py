@@ -27,17 +27,19 @@ the A operator on top of it.
 
 The gate list from `build_transport_circuit` is the only definition of the
 circuit, placed on the registers of `transport_registers`.
-`apply_transport_inplace` computes the same final state at register level,
+`transport_branches` computes the same final state at register level,
 one array operation per gadget instead of one pass over the state per gate
-(~50 per flight). It reads only the layout, builds no gates, and writes
-only the support: AncR and AncP end every flight in |0>, so the state
-lives on X, D_m and R_m, a quarter of the circuit's 2^n amplitudes.
-`support_state` checks the ceiling against the circuit's width, allocates
-the support and runs the pass; every command that needs the state reads
-this one array: `transport_distribution` (`exact`, `mc --mode circuit`)
-takes its X marginal and `qae.predicate_probability` its predicate mass.
-The tests hold the pass to `sim.apply_inplace` on the gate-level circuit,
-with the support embedded in a zero full state.
+(~50 per flight), and without the X axis: the particle starts at 0 and
+each flight's move is fixed by the D_m and R_m values before it, so every
+basis value of D_1, R_1, ..., D_F, R_F carries one amplitude, at one
+position, and AncR and AncP end in |0>. It keeps one complex amplitude and
+one integer position per such value, 2^x_qubits times fewer entries than
+the dense support. Every command that needs the state reads these arrays:
+`transport_distribution` (`exact`, `mc --mode circuit`) sums the squares
+by position and `qae.predicate_probability` the predicate's mass, each in
+the order the dense support's blocked readers summed them, so the bits are
+the same. The tests scatter the branches into the support and hold it to
+`sim.apply_inplace` on the gate-level circuit.
 """
 from __future__ import annotations
 
@@ -48,7 +50,7 @@ import numpy as np
 
 from . import sim
 from .circuit import Circuit, Control, Gate, add_controls, h, inverse, mct, phase_shift, ry, x
-from .errors import InvariantError
+from .errors import CapacityError, InvariantError
 
 PRE_FLIGHT = "pre_flight"
 POST_FLIGHT = "post_flight"
@@ -56,6 +58,11 @@ REACT = "react"
 MOVE = "move"
 
 _PMF_SUM_TOL = 1e-9
+# Widest position register a problem may declare. It is far past what any
+# engine can hold (numpy indexes under 2^63 bytes) and what the qubit
+# budgets need, and small enough that 1 << x_qubits is a cheap integer;
+# wider values are refused before any shift or range is formed.
+MAX_X_QUBITS = 1024
 
 
 def _validated_pmf(pmf) -> tuple[float, ...]:
@@ -103,8 +110,8 @@ class TransportProblem:
 
     def __post_init__(self):
         object.__setattr__(self, "regions", tuple(self.regions))
-        if self.x_qubits < 1:
-            raise InvariantError("x_qubits must be >= 1")
+        if not 1 <= self.x_qubits <= MAX_X_QUBITS:
+            raise InvariantError(f"x_qubits must be in [1, {MAX_X_QUBITS}], got {self.x_qubits}")
         if self.max_flights < 1:
             raise InvariantError("max_flights must be >= 1")
         if len(self.regions) != 2:
@@ -298,7 +305,7 @@ _ANCILLAE = ("AncR", "AncP")
 
 def transport_widths(problem: TransportProblem) -> tuple[int, int]:
     """Qubits of the transport circuit and of its support, the registers
-    other than AncR and AncP (see `apply_transport_inplace`), counted in
+    other than AncR and AncP (see `transport_branches`), counted in
     closed form without building the layout: X, the two ancillae, d_width
     qubits per flight and one R_m per gated flight."""
     gated = problem.max_flights - 1 if problem.first_flight_always else problem.max_flights
@@ -368,117 +375,84 @@ def _reaction_amplitudes(regions) -> tuple[np.ndarray, np.ndarray]:
     )
 
 
-def apply_transport_inplace(amplitudes: np.ndarray, problem: TransportProblem) -> None:
-    """Write the final state of the transport circuit, restricted to its
-    support, into amplitudes that hold |0> on every register but X, one
-    array operation per gadget.
+def _flights(problem: TransportProblem, amplitudes: np.ndarray, positions: np.ndarray):
+    """Run every flight of the transport circuit on branches that start at
+    `amplitudes` and `positions`, with |0> on every register but X.
 
-    Every comparator and every progress AND is uncomputed within its
-    flight, so AncR and AncP end in |0> and the state lives on the support:
-    the registers X, D_m and R_m of `transport_registers`, in that order
-    with X on the lowest qubits, 2^(n-2) amplitudes for n circuit qubits.
-    The array is viewed with one axis per support register, and flight m
-    writes only the block where every later register is still |0>:
-      - comparator and AncP: each compute/uncompute pair cancels, so the
-        region is a boolean mask over X and the AND is "every gated R_j
-        so far is 1";
-      - loader and reaction: new[R_m=r, D_m=d] = old[0, 0] * load[d] *
-        react[r] for x's region, one multiply per region and value of r
-        over every d, with (r, d) = (0, 0), which is old itself, scaled
-        last; `build_distribution_loader` and `build_reaction_rotation`
-        supply the amplitudes;
-      - adder: on the slab where D_m = d >= 1 and every gated R_j is 1,
-        a cyclic shift of X by d, which is the modular add exactly. That
-        slab is written once more, after both regions' unshifted values:
-        X = x + d mod 2^x_qubits gets old[0, 0][x] * load[d] * react[1]
-        (load[d] alone for an ungated flight) for x's region, read from
-        old before it is scaled.
-    Every product is written with `out=` into the state, so the pass
-    allocates nothing of the state's size: the loader multiplies each
-    region's X range by a table of (r, d) scalars, and the adder writes
-    each moved amplitude into its shifted place straight from old.
-
-    `build_transport_circuit` is the definition this pass must reproduce;
-    the tests compare the two on full states. Raises InvariantError if the
-    array does not hold 2^(n-2) amplitudes, or if the result's norm is not 1.
+    A branch is one basis value of the registers other than X and the two
+    ancillae, with its amplitude and the X value it sits at. Each comparator
+    and progress AND is uncomputed within its flight, so the region is read
+    from the position and the AND is "every gated R_j so far is 1". Flight
+    m splits each branch over (R_m, D_m) = (r, d): its amplitude is
+    multiplied by load[d] * react[r] for its region, and it moves by d,
+    mod 2^x_qubits, when every gated R_j so far, R_m included, is 1; the
+    new branches go on an axis above the old ones, as R_m and D_m sit above
+    the earlier registers. So with n0 starting branches, branch
+    i = j * n0 + s started from branch s and has value j on the registers
+    D_1, R_1, ..., D_F, R_F. Each flight multiplies an amplitude by one
+    complex scalar, the same for every branch of a region, so its bits do
+    not depend on which branches share an array. Returns the amplitudes
+    and positions; raises InvariantError if their norm is not 1.
     """
-    n, support = transport_widths(problem)
-    if len(amplitudes) != 1 << support:
-        raise InvariantError(
-            f"transport circuit has {n} qubits, so its support needs {1 << support} "
-            f"amplitudes; state has {len(amplitudes)}"
-        )
-    registers = {
-        name: qubits for name, qubits in transport_registers(problem).items()
-        if name not in _ANCILLAE
-    }
-    # registers sit on consecutive qubits in insertion order; in C order the
-    # register on the highest qubits varies slowest
-    names = tuple(reversed(registers))
-    state = amplitudes.reshape([1 << len(registers[name]) for name in names])
-
-    def part(values: dict) -> np.ndarray:
-        return state[tuple(values.get(name, slice(None)) for name in names)]
-
     size, boundary = problem.position_count, problem.boundary
-    regions = ((0, boundary), (boundary, size))  # region 1 is X < boundary
     load = [_loaded_amplitudes(spec.distance_pmf, problem.d_width) for spec in problem.regions]
     react = _reaction_amplitudes(problem.regions)
     no_reaction = (np.ones(1), np.ones(1))  # r = 0 only; the flight has no R axis
-    at_zero = {name: 0 for name in names if name != "X"}  # still |0> before this flight
-    gating: dict[str, int] = {}  # every gated R_j so far, held at 1
+    distances = np.arange(len(load[0]))[:, None]
+    moving = np.ones(len(amplitudes), dtype=bool)  # every gated R_j so far is 1
     for m in range(1, problem.max_flights + 1):
-        d_name, r_name = f"D{m}", f"R{m}"
-        source = part({**at_zero, **gating})  # D_m = R_m = 0, earlier gated R_j at 1
-        del at_zero[d_name]
-        if problem.has_reaction(m):
-            del at_zero[r_name]
-            gating[r_name] = 1
         reaction = react if problem.has_reaction(m) else no_reaction
-        block = part(at_zero)  # axes R_m, D_m, the earlier registers, X
-        if not problem.has_reaction(m):
-            block = block[None]  # r = 0 only, on a length-1 axis
-        old = block[0, 0]
-        # scale[k][r, d] = load[d] * react[r] for region k, shaped to broadcast over old
-        scale = [
-            (load[k][None, :] * reaction[k][:, None]).reshape(block.shape[:2] + (1,) * old.ndim)
-            for k in range(2)
-        ]
-        for k, (lo, hi) in enumerate(regions):
-            new, held = block[..., lo:hi], old[..., lo:hi]
-            for r in range(1, len(scale[k])):
-                np.multiply(held, scale[k][r], out=new[r])
-            np.multiply(held, scale[k][0, 1:], out=new[0, 1:])
-        # the adder's slab (D_m = d, every gated R_j at 1) is rewritten from the
-        # unscaled source at X = x + d mod size, over both regions' values above
-        for d in range(1, len(load[0])):
-            moved = part({**at_zero, **gating, d_name: d})
-            for k, (lo, hi) in enumerate(regions):
-                factor = scale[k][-1, d].item()
-                cut = max(lo, min(hi, size - d))  # [cut, hi) wraps to the bottom
-                for start, stop, shift in ((lo, cut, d), (cut, hi, d - size)):
-                    if start < stop:
-                        window = moved[..., start + shift : stop + shift]
-                        np.multiply(source[..., start:stop], factor, out=window)
-        for k, (lo, hi) in enumerate(regions):
-            held = old[..., lo:hi]
-            np.multiply(held, scale[k][0, 0], out=held)  # (r, d) = (0, 0) is old itself
+        # scale[k][r, d] = load[d] * react[r] for region k, one per new branch
+        scale = [(load[k][None, :] * reaction[k][:, None])[..., None] for k in range(2)]
+        new = np.where(positions >= boundary, scale[1], scale[0])
+        np.multiply(amplitudes, new, out=new)
+        shape = new.shape  # (R_m, D_m, branches so far)
+        positions = np.broadcast_to(positions, shape).copy()
+        # the adder runs on the last value of R_m: 1, or 0 with no R axis
+        positions[-1] += distances * moving
+        positions[-1] &= size - 1
+        moving = np.broadcast_to(moving, shape).copy()
+        moving[:-1] = False
+        amplitudes, positions, moving = new.ravel(), positions.ravel(), moving.ravel()
     sim.check_norm(amplitudes)
+    return amplitudes, positions
 
 
-def support_state(problem: TransportProblem) -> np.ndarray:
-    """The transport circuit's final state on its support, written by
-    `apply_transport_inplace`; the width check counts the circuit's qubits
-    before the smaller support array is allocated."""
+def transport_branches(problem: TransportProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The transport circuit's final state as one amplitude and one position
+    per basis value of its other support registers (see `_flights`).
+
+    The particle starts at X = 0, so each value of D_1, R_1, ..., D_F, R_F
+    carries one amplitude, at one position; AncR and AncP end in |0>. In
+    the support's order, with X on the lowest qubits, the state is
+    `amplitudes[i]` at index `positions[i] + i * 2^x_qubits` and zero
+    elsewhere: 2^x_qubits times fewer entries. The width check counts the
+    circuit's qubits; CapacityError names the bytes when numpy could not
+    index that support, so every such index fits an intp.
+    `build_transport_circuit` is the definition the branches must reproduce;
+    the tests scatter them into the support and compare with the gate kernel.
+    """
     n, support = transport_widths(problem)
     sim.check_width(n)
-    amplitudes = sim.zero_state(support)
-    apply_transport_inplace(amplitudes, problem)
-    return amplitudes
+    nbytes = 16 << support
+    if nbytes > np.iinfo(np.intp).max:
+        raise CapacityError(f"a {support}-qubit support of {nbytes} bytes is past numpy's index range")
+    return _flights(problem, np.ones(1, dtype=np.complex128), np.zeros(1, dtype=np.intp))
 
 
 def transport_distribution(problem: TransportProblem) -> np.ndarray:
-    """Final-position probabilities: the X marginal of the support state,
-    summed a block of rows at a time, so the support is the only
-    state-sized array."""
-    return sim.low_marginal(support_state(problem), problem.x_qubits)
+    """Final-position probabilities: the squared branch amplitudes summed by
+    position, one `sim._BLOCK` of the support (2^16 >> x_qubits branches,
+    at least one) at a time, the blocks added in order, as the rows of a
+    dense support's blocks would be summed."""
+    amplitudes, positions = transport_branches(problem)
+    squares = np.square(np.abs(amplitudes))
+    size = problem.position_count
+    step = sim._BLOCK >> problem.x_qubits
+    if step <= 1:  # at most one branch per block: the block sums are its squares
+        return np.bincount(positions, squares, minlength=size)
+    probs = np.zeros(size)
+    for start in range(0, len(squares), step):
+        chunk = slice(start, start + step)
+        probs += np.bincount(positions[chunk], squares[chunk], minlength=size)
+    return probs

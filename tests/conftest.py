@@ -9,7 +9,7 @@ from qtransport.circuit import Circuit
 from qtransport.errors import InvariantError
 from qtransport.qae import build_flag_oracle, build_grover_operator
 from qtransport.sim import _BLOCK, _split, apply_inplace, check_width, zero_state
-from qtransport.transport import MOVE, REACT, apply_transport_inplace, transport_widths
+from qtransport.transport import MOVE, REACT, transport_branches, transport_widths
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -140,6 +140,39 @@ def support_slice(full: np.ndarray, tc) -> np.ndarray:
     return full.reshape(2, -1, 2, 1 << anc_r)[0, :, 0]
 
 
+def scatter_branches(amplitudes: np.ndarray, positions: np.ndarray, problem) -> np.ndarray:
+    """The dense support state the transport branches stand for: with n0
+    starting branches, branch i = j * n0 + s goes to X = positions[i] on row
+    j of the registers other than X, as `transport._flights` orders them."""
+    rows = 1 << (transport_widths(problem)[1] - problem.x_qubits)
+    support = np.zeros(rows << problem.x_qubits, dtype=np.complex128)
+    row = np.arange(len(amplitudes)) // (len(amplitudes) // rows)
+    np.add.at(support, (row << problem.x_qubits) + positions, amplitudes)
+    return support
+
+
+def branch_support(problem) -> np.ndarray:
+    """`transport_branches(problem)` scattered into its dense support."""
+    return scatter_branches(*transport_branches(problem), problem)
+
+
+def low_marginal(amplitudes: np.ndarray, width: int) -> np.ndarray:
+    """Probability of each value of the register on the lowest `width`
+    qubits, as the blocked reader of the dense support summed it: the rows
+    of the (-1, 2^width) view squared and summed over a block of 2^16
+    amplitudes at a time (a row longer than that in pieces of a block), the
+    blocks added in order. The reference `transport_distribution` is held
+    to bit for bit."""
+    rows = amplitudes.reshape(-1, 1 << width)
+    step = max(1, _BLOCK >> width)
+    probs = np.zeros(rows.shape[1])
+    for start in range(0, len(rows), step):
+        block = rows[start : start + step]
+        for col in range(0, rows.shape[1], _BLOCK):
+            probs[col : col + _BLOCK] += np.square(np.abs(block[:, col : col + _BLOCK])).sum(axis=0)
+    return probs
+
+
 def embed_support(support: np.ndarray, tc) -> np.ndarray:
     """The full state whose AncR = AncP = 0 slice is `support`, zero elsewhere."""
     full = np.zeros(1 << tc.qubit_count, dtype=np.complex128)
@@ -183,16 +216,16 @@ def top_half_probability(amplitudes: np.ndarray) -> float:
 
 def flag_half_predicate_probability(problem: TransportProblem, pred) -> float:
     """`qae.predicate_probability` as it was computed on the support plus
-    A's flag one past it: the register-level pass into the flag = 0 half,
-    the predicate's gates through the gate kernel, then the flag read. The
-    reference the masked read of the support state is held to bit for bit."""
+    A's flag one past it: the transport branches scattered into the flag = 0
+    half, the predicate's gates through the gate kernel, then the flag read.
+    The reference the masked read of the branches is held to bit for bit."""
     n, support = transport_widths(problem)
     # the oracle's gates read only X, so only the flag moves to the support's top
     oracle = build_flag_oracle(problem, pred)
     gates = [dataclasses.replace(g, targets=(support,)) for g in oracle.gates]
     check_width(n + 1)
     amplitudes = zero_state(support + 1)
-    apply_transport_inplace(amplitudes[: 1 << support], problem)
+    amplitudes[: 1 << support] = branch_support(problem)
     apply_inplace(amplitudes, Circuit(support + 1, gates))
     return top_half_probability(amplitudes)
 

@@ -354,7 +354,7 @@ class TestExitCodes:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=7, max_flights=7)))
         monkeypatch.delenv("QTRANSPORT_MAX_QUBITS", raising=False)
-        monkeypatch.setattr(transport, "apply_transport_inplace", fail)
+        monkeypatch.setattr(transport, "_flights", fail)
         tracemalloc.start()
         try:
             assert main(["exact", "-p", str(path)]) == 4
@@ -373,7 +373,7 @@ class TestExitCodes:
         path = tmp_path / "p.json"
         path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=7, max_flights=6)))
         monkeypatch.delenv("QTRANSPORT_MAX_QUBITS", raising=False)
-        monkeypatch.setattr(transport, "apply_transport_inplace", fail)
+        monkeypatch.setattr(transport, "_flights", fail)
         tracemalloc.start()
         try:
             assert main(["qae", "-p", str(path), "--predicate", "region2"]) == 4
@@ -407,6 +407,30 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             f"error: {width} qubits exceeds the configured ceiling of 26\n"
         )
+
+    @pytest.mark.parametrize("x_qubits", [10**30, 2**40])
+    @pytest.mark.parametrize(
+        "args",
+        [("exact",), ("qae", "--predicate", "region2"), ("mc",), ("resources",)],
+        ids=lambda args: args[0],
+    )
+    def test_huge_x_qubits_is_3_at_once(self, tmp_path, capsys, args, x_qubits):
+        # refused before 1 << x_qubits, which would not finish or not fit
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(dict(TABLE_A1_DOC, x_qubits=x_qubits)))
+        start = time.perf_counter()
+        assert main([args[0], "-p", str(path), *args[1:]]) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert err == f"error: x_qubits must be in [1, 1024], got {x_qubits}\n"
+        assert "Traceback" not in err
+
+    def test_integer_past_the_digit_limit_is_2(self, tmp_path, capsys):
+        # json reads integers with int(), which refuses past 4300 digits
+        path = tmp_path / "digits.json"
+        path.write_text(json.dumps(TABLE_A1_DOC).replace('"x_qubits": 4', '"x_qubits": 1' + "0" * 5000))
+        assert main(["exact", "-p", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: problem file has a number too long to read")
 
     def test_unwritable_out_is_1_before_the_work(self, tmp_path, capsys):
         # 3e6 flowchart histories on the mc_long shape, absorbed at 10% per

@@ -35,13 +35,10 @@ from qtransport.qae import (
     predicate_probability,
 )
 from qtransport.sim import _BLOCK, apply_inplace, zero_state
-from qtransport.transport import (
-    apply_transport_inplace,
-    build_transport_circuit,
-    transport_distribution,
-)
+from qtransport.transport import build_transport_circuit, transport_distribution
 
 from conftest import (
+    branch_support,
     embed_support,
     flag_half_predicate_probability,
     full_draw_counts,
@@ -113,9 +110,8 @@ def test_masked_flag_read_is_the_top_half_bitwise(seed, kind, v):
 def test_register_level_state_matches_gate_level(seed):
     problem = draw_problem(seed)
     tc = build_transport_circuit(problem)
-    want, support = zero_state(tc.qubit_count), zero_state(tc.qubit_count - 2)
+    want, support = zero_state(tc.qubit_count), branch_support(problem)
     apply_inplace(want, tc)
-    apply_transport_inplace(support, problem)
     np.testing.assert_allclose(embed_support(support, tc), want, rtol=0, atol=1e-12)
 
 
@@ -126,9 +122,8 @@ def test_gate_level_state_lives_on_the_support(seed):
     # register-level support on AncR = AncP = 0 and nothing elsewhere
     problem = draw_problem(seed)
     tc = build_transport_circuit(problem)
-    full, support = zero_state(tc.qubit_count), zero_state(tc.qubit_count - 2)
+    full, support = zero_state(tc.qubit_count), branch_support(problem)
     apply_inplace(full, tc)
-    apply_transport_inplace(support, problem)
     inside = support_slice(full, tc)
     np.testing.assert_allclose(inside, support.reshape(inside.shape), rtol=0, atol=1e-12)
     inside[...] = 0.0

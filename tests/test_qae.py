@@ -160,6 +160,19 @@ class TestPredicateProbability:
             tracemalloc.stop()
         assert peak < (16 << support) + (1 << 20)
 
+    def test_wide_register_peak_is_the_branches(self):
+        # x_qubits 21 and one flight: four branches, where the dense support
+        # would be 128 MiB and a mask over every position 2 MiB
+        problem = TransportProblem(x_qubits=21, max_flights=1, boundary=4, regions=TABLE_A1_REGIONS)
+        tracemalloc.start()
+        try:
+            p = predicate_probability(problem, Predicate.geq(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert abs(p - 0.3) < 1e-12  # table A1's region-1 mass at distances 2 and 3
+
     def test_state_has_the_width_of_a(self, table_a1, monkeypatch):
         # the transport circuit fits a 14-qubit ceiling; A needs 15
         monkeypatch.setenv("QTRANSPORT_MAX_QUBITS", "14")

@@ -10,13 +10,12 @@ from qtransport.errors import CapacityError, InvariantError
 from qtransport.sim import (
     MAX_QUBITS_ENV,
     apply_inplace,
-    low_marginal,
     mask_probability,
     sample,
     zero_state,
 )
 
-from conftest import basis_state, marginal, register_value
+from conftest import basis_state, low_marginal, marginal, register_value
 from test_circuit import random_circuit
 
 THETA_REGION1 = 2 * math.acos(math.sqrt(0.25))

@@ -1,7 +1,9 @@
 import dataclasses
 import itertools
+import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -18,13 +20,14 @@ from qtransport.qae import Predicate, build_a_operator
 from qtransport.transport import (
     MOVE,
     REACT,
+    _flights,
     _loaded_amplitudes,
-    apply_transport_inplace,
     build_controlled_adder,
     build_distribution_loader,
     build_reaction_rotation,
     build_region_flag,
     build_transport_circuit,
+    transport_branches,
     transport_distribution,
     transport_registers,
     transport_widths,
@@ -34,11 +37,15 @@ from conftest import (
     SRC,
     TABLE_A1_REGIONS,
     basis_state,
+    branch_support,
     embed_support,
     encode_register,
+    low_marginal,
     marginal,
+    problem_to_dict,
     random_pmf,
     random_problem,
+    scatter_branches,
 )
 
 
@@ -418,15 +425,19 @@ class TestOracleEquivalence:
 
 def gate_and_register_states(problem, x_state=None):
     """Final state of the transport circuit from the gate kernel and from the
-    register-level pass, both started from |0> or from x_state on X; the
-    register-level support is embedded in a full state that is zero off it."""
+    transport branches, both started from |0> or from x_state on X; the
+    branches are scattered into the support and it is embedded in a full
+    state that is zero off it. From x_state the branches start one per
+    position, each with its amplitude."""
     tc = build_transport_circuit(problem)
     gate_level = sim.zero_state(tc.qubit_count)
-    support = sim.zero_state(tc.qubit_count - 2)
-    if x_state is not None:
-        gate_level[: len(x_state)] = support[: len(x_state)] = x_state
+    if x_state is None:
+        support = branch_support(problem)
+    else:
+        gate_level[: len(x_state)] = x_state
+        start = np.arange(len(x_state))
+        support = scatter_branches(*_flights(problem, x_state, start), problem)
     sim.apply_inplace(gate_level, tc)
-    apply_transport_inplace(support, problem)
     return gate_level, embed_support(support, tc)
 
 
@@ -473,15 +484,6 @@ class TestRegisterLevel:
         want, got = gate_and_register_states(problem, x_state / np.linalg.norm(x_state))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
-    # the support of the 14-qubit circuit is 12 qubits, so a full state is
-    # rejected too
-    @pytest.mark.parametrize("qubits", [11, 13, 14, 15])
-    def test_wrong_length_rejected(self, table_a1, qubits):
-        state = sim.zero_state(qubits)
-        with pytest.raises(InvariantError, match="transport circuit has 14 qubits"):
-            apply_transport_inplace(state, table_a1)
-        np.testing.assert_array_equal(state, sim.zero_state(qubits))
-
     def test_distribution_peak_is_the_support(self):
         # x_qubits 6, 5 flights: a 22-qubit circuit whose 20-qubit support
         # is 16 MiB; the blocked marginal adds one block, not a float64 copy
@@ -496,45 +498,41 @@ class TestRegisterLevel:
         assert peak <= 1.25 * (16 << 20)
 
     def test_pass_scratch_is_one_block(self):
-        # x_qubits 20, one ungated flight with d_max 1: the adder shifts a
-        # 2^20-amplitude row, half the 32 MiB support, and the loader covers
-        # all 2^20 positions; neither may copy them
+        # x_qubits 20, one ungated flight with d_max 1: the support is 32 MiB,
+        # but the branches are two amplitudes and two positions
         spec = RegionSpec((0.5, 0.5), 0.5)
         problem = TransportProblem(20, 1, 2, (spec, spec))
         tracemalloc.start()
         try:
-            state = sim.zero_state(21)
-            apply_transport_inplace(state, problem)
+            amplitudes, positions = transport_branches(problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= state.nbytes + 16 * sim._BLOCK
+        assert peak <= 16 * sim._BLOCK
         # (D, X) = (0, 0) and (1, 1), each with amplitude sqrt(1/2)
-        np.testing.assert_array_equal(np.flatnonzero(state), [0, (1 << 20) + 1])
-        np.testing.assert_allclose(state[[0, (1 << 20) + 1]], np.sqrt(0.5), rtol=0, atol=1e-15)
-        # the marginal adds its 8 MiB output and a block of squares and
-        # their sums (half a block's bytes each, plus a few small objects),
-        # even though one X row is longer than a block
+        np.testing.assert_array_equal(positions, [0, 1])
+        np.testing.assert_allclose(amplitudes, np.sqrt(0.5), rtol=0, atol=1e-15)
+        # the marginal adds its 8 MiB output and a few small objects, even
+        # though one X row is longer than a block
         tracemalloc.start()
         try:
             dist = transport_distribution(problem)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= state.nbytes + dist.nbytes + 16 * sim._BLOCK + (64 << 10)
+        assert peak <= dist.nbytes + 16 * sim._BLOCK + (64 << 10)
         np.testing.assert_allclose(dist[:2], [0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_norm_check_raises_under_optimize(self):
         # `python -O` strips asserts, so the check must be a raise; the
-        # pass keeps the norm of its input, here 2
+        # flights keep the norm of their start, here 2
         script = textwrap.dedent("""
-            from qtransport import RegionSpec, TransportProblem, sim
-            from qtransport.transport import apply_transport_inplace, transport_widths
+            import numpy as np
+            from qtransport import RegionSpec, TransportProblem
+            from qtransport.transport import _flights
             spec = RegionSpec((0.5, 0.5), 0.5)
             problem = TransportProblem(2, 1, 2, (spec, spec))
-            state = sim.zero_state(transport_widths(problem)[1])
-            state[0] = 2.0
-            apply_transport_inplace(state, problem)
+            _flights(problem, np.full(1, 2.0 + 0j), np.zeros(1, dtype=np.intp))
         """)
         result = subprocess.run(
             [sys.executable, "-O", "-c", script],
@@ -542,3 +540,64 @@ class TestRegisterLevel:
         )
         assert result.returncode == 1
         assert "InvariantError: statevector norm drifted to 2.0" in result.stderr
+
+
+# the 26-qubit (7, 6) table-A1 circuit, the widest `exact` runs at the
+# default ceiling; its dense support would be 24 qubits, 256 MiB
+CEILING_PROBLEM = TransportProblem(7, 6, 4, TABLE_A1_REGIONS)
+
+
+class TestBranches:
+    def test_one_branch_per_register_value(self, table_a1):
+        amplitudes, positions = transport_branches(table_a1)
+        support = transport_widths(table_a1)[1]
+        assert len(amplitudes) == len(positions) == 1 << (support - table_a1.x_qubits)
+        assert amplitudes.dtype == np.complex128
+        assert ((0 <= positions) & (positions < table_a1.position_count)).all()
+
+    # every block layout of the dense reader: one block holding every row
+    # (x_qubits 4 and 5), several rows per block (9 and 15), one row per
+    # block (16), and rows longer than a block (17); from 9 on the supports
+    # are past 2^16 amplitudes
+    @pytest.mark.parametrize(
+        "x_qubits, flights, boundary",
+        [(4, 3, 4), (5, 4, 4), (9, 3, 1), (15, 1, 8), (16, 1, 4), (17, 1, 1)],
+    )
+    def test_distribution_is_the_dense_marginal_bitwise(self, x_qubits, flights, boundary):
+        problem = TransportProblem(x_qubits, flights, boundary, TABLE_A1_REGIONS)
+        want = low_marginal(branch_support(problem), x_qubits)
+        assert transport_distribution(problem).tobytes() == want.tobytes()
+
+    def test_distribution_is_the_dense_marginal_bitwise_on_random_problems(self):
+        for seed in range(300):
+            problem = random_problem(np.random.default_rng(seed), 18)
+            want = low_marginal(branch_support(problem), problem.x_qubits)
+            assert transport_distribution(problem).tobytes() == want.tobytes(), seed
+
+    def test_ceiling_distribution_peak(self):
+        # 2^17 branches: 2 MiB of amplitudes and 1 MiB of positions
+        assert transport_widths(CEILING_PROBLEM)[0] == sim.DEFAULT_MAX_QUBITS
+        tracemalloc.start()
+        try:
+            dist = transport_distribution(CEILING_PROBLEM)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 << 20
+        assert abs(dist.sum() - 1.0) < 1e-9
+
+    def test_ceiling_runs_in_200_mb_of_address_space(self, tmp_path):
+        # the dense support alone would be 256 MiB; the limit is set in the
+        # child only, before it imports anything
+        path = tmp_path / "ceiling.json"
+        path.write_text(json.dumps(problem_to_dict(CEILING_PROBLEM)))
+        limit = 200_000 * 1024
+        env = {k: v for k, v in os.environ.items() if k != "QTRANSPORT_MAX_QUBITS"}
+        result = subprocess.run(
+            [sys.executable, "-m", "qtransport", "exact", "-p", str(path)],
+            capture_output=True, text=True, env={**env, "PYTHONPATH": SRC},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert result.returncode == 0, result.stderr
+        rows = result.stdout.splitlines()
+        assert rows[0] == "position,probability" and len(rows) == 1 + (1 << 7)
