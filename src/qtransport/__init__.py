@@ -1,6 +1,7 @@
-"""Simplified radiation-transport on a statevector quantum-circuit simulator.
+"""Simplified radiation transport as a quantum circuit, simulated exactly.
 
-Build the transport circuit for a two-region problem, simulate it exactly,
+Build the transport circuit for a two-region problem, compute its final
+state exactly at register level (`transport.transport_branches`),
 check it against the classical dynamic-programming oracle and Monte Carlo,
 estimate position probabilities by maximum-likelihood amplitude estimation,
 and reproduce the logical-qubit budget arithmetic for practical instances.
@@ -35,12 +36,10 @@ from .qae import (
     build_a_operator,
     build_flag_oracle,
     build_grover_operator,
-    exact_amplitude,
     mlqae_estimate,
     predicate_probability,
 )
 from .resources import ResourceEstimate, circuit_budget, practical_estimate
-from .sim import apply_inplace, mask_probability, sample, zero_state
 from .transport import (
     RegionSpec,
     TransportProblem,
@@ -49,6 +48,7 @@ from .transport import (
     build_region_flag,
     build_reaction_rotation,
     build_transport_circuit,
+    sample,
     transport_branches,
     transport_distribution,
     transport_registers,

@@ -16,8 +16,8 @@ step sequence per timing, and the oracle and the sampler each run one loop
 over it (the sampler less a trailing reaction), so that claim stays
 checkable.
 
-`run_tally` runs a batch of histories, one block of 2^16 (`sim._BLOCK`) at
-a time, and works only on those still in flight: an absorbed history's
+`run_tally` runs a batch of histories, one block of 2^16 (`transport._BLOCK`)
+at a time, and works only on those still in flight: an absorbed history's
 position is recorded at once and the history dropped. `run_history` is
 that batch sampler run for one shot. Three rules fix every seeded output:
 
@@ -39,8 +39,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CapacityError, InvariantError
-from .sim import _BLOCK
-from .transport import MOVE, REACT, TransportProblem
+from .transport import _BLOCK, MOVE, REACT, TransportProblem
 
 FLIGHT_CAP = 10**6
 

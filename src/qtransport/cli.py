@@ -15,7 +15,7 @@ import io
 import json
 import sys
 
-from . import classical_mc, convergence, qae, resources, sim
+from . import classical_mc, convergence, qae, resources
 from .circuit import dump_circuit
 from .errors import (
     CapacityError,
@@ -30,6 +30,7 @@ from .transport import (
     RegionSpec,
     TransportProblem,
     build_transport_circuit,
+    sample,
     transport_distribution,
 )
 
@@ -106,12 +107,14 @@ def parse_problem_dict(doc) -> TransportProblem:
 
 def load_problem(path: str) -> TransportProblem:
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             doc = json.load(handle)
     except OSError as exc:
         raise ProblemFormatError(f"cannot read problem file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ProblemFormatError(f"problem file is not valid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:  # a ValueError too, so caught before it
+        raise ProblemFormatError(f"problem file is not UTF-8 text: {exc}") from exc
     except ValueError as exc:  # an integer past Python's digit limit
         raise ProblemFormatError(f"problem file has a number too long to read: {exc}") from exc
     except RecursionError as exc:
@@ -190,7 +193,7 @@ def cmd_mc(args) -> int:
     if args.mode == "flowchart":
         counts = classical_mc.run_tally(problem, args.shots, args.seed)
     else:
-        counts = sim.sample(transport_distribution(problem), args.shots, args.seed)
+        counts = sample(transport_distribution(problem), args.shots, args.seed)
     rows = [
         (position, int(count), repr(int(count) / args.shots))
         for position, count in enumerate(counts)
@@ -327,8 +330,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:
-        # an array request refused outright (numpy's message names the bytes)
-        print(f"error: {exc}", file=sys.stderr)
+        # an array request refused outright (numpy's message names the
+        # bytes); Python's own allocations raise it with no message
+        print(f"error: {str(exc) or f'out of memory in {args.command}'}", file=sys.stderr)
         return EXIT_CODES[CapacityError]
 
 

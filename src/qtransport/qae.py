@@ -16,9 +16,9 @@ The predicate oracle only copies the amplitudes of the positions it selects
 into the flag = 1 half, so that pass needs no flag: it reads the predicate's
 mass from the transport branches (`transport.transport_branches`, one
 amplitude and one position per value of the registers other than X, AncR
-and AncP), summed block by block as `sim.mask_probability` sums a dense
-state. The ceiling still counts A's qubits. `exact_amplitude(a)` runs the
-whole gate-level A and is the reference the tests hold it to.
+and AncP), summed block by block as a blocked read of A's flag half in a
+dense state would sum it. The ceiling still counts A's qubits. The tests
+run the whole gate-level A (`tests/reference.py`) and hold this pass to it.
 
 Estimation is maximum-likelihood over a schedule of Grover powers: shot
 counts at each power are fused into one likelihood over theta, maximized on
@@ -54,11 +54,12 @@ import numpy as np
 
 from .circuit import Circuit, compose, inverse, phase_shift, x
 from .errors import InvariantError, PredicateError
-from .sim import _BLOCK, apply_inplace, check_width, mask_probability, zero_state
 from .transport import (
+    _BLOCK,
     TransportProblem,
     build_region_flag,
     build_transport_circuit,
+    check_width,
     transport_branches,
     transport_registers,
     transport_widths,
@@ -178,23 +179,16 @@ def build_grover_operator(a: Circuit) -> Circuit:
     return compose(s_chi, inverse(a), s0, a)
 
 
-def exact_amplitude(a: Circuit) -> float:
-    """Flag |1> probability of A|0>, bypassing estimation."""
-    flag = _flag(a)
-    amplitudes = zero_state(a.qubit_count)
-    apply_inplace(amplitudes, a)
-    return mask_probability(amplitudes, np.repeat([False, True], 1 << flag))
-
-
 def predicate_probability(problem: TransportProblem, pred: Predicate) -> float:
     """Flag |1> probability of A|0> for A = build_a_operator(problem, pred).
 
     The oracle copies the selected positions' amplitudes into A's flag = 1
     half, so this is their mass in the transport branches. It is summed as
-    `sim.mask_probability` sums the dense support, so the bits match: each
-    block of `sim._BLOCK` support amplitudes (the whole support if smaller)
-    is one zeroed buffer with the block's selected squares scattered to
-    their places in it, and the blocks' sums are added in order. The
+    a blocked masked read of the dense support would sum it, so the bits
+    match the gate-level A: each block of `_BLOCK` support amplitudes (the
+    whole support if smaller) is one zeroed buffer with the block's
+    selected squares scattered to their places in it, and the blocks' sums
+    are added in order. The
     predicate is checked first and the width check counts A's qubits; no
     array has the support's size.
     """
@@ -218,7 +212,7 @@ def predicate_probability(problem: TransportProblem, pred: Predicate) -> float:
 
 def check_a_operator(problem: TransportProblem, pred: Predicate) -> None:
     """The checks made before A's state is built: PredicateError unless the
-    predicate fits the position register, then `sim.check_width` on A's
+    predicate fits the position register, then `transport.check_width` on A's
     qubits, the transport circuit's and the flag past them."""
     _resolve(pred, problem)
     check_width(transport_widths(problem)[0] + 1)

@@ -1,4 +1,5 @@
-"""Builders for the simplified radiation-transport circuit.
+"""The simplified radiation-transport circuit: its builders and the
+register-level engine every command runs it with.
 
 A particle starts at position 0 and makes up to `max_flights` moves on a
 1D nonnegative-integer grid split into two half-open regions by a
@@ -39,16 +40,25 @@ the dense support. Every command that needs the state reads these arrays:
 by position and `qae.predicate_probability` the predicate's mass, each in
 the order the dense support's blocked readers summed them, so the bits are
 the same. The tests scatter the branches into the support and hold it to
-`sim.apply_inplace` on the gate-level circuit.
+the gate-level circuit, run by the gate kernel in `tests/reference.py`.
+
+The engine's qubit ceiling (`engine_max_qubits`, 26 unless
+QTRANSPORT_MAX_QUBITS overrides it) is checked by `check_width` against the
+circuit's width, whatever the width of the arrays a command holds.
+
+`sample` draws shots from a probability vector sequentially and vectorized
+from a single seeded stream, a block of 2^16 uniforms at a time, so counts
+are bit-identical for a given seed no matter how the surrounding code is
+parallelized, and its scratch does not grow with the number of shots.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import sim
 from .circuit import Circuit, Control, Gate, add_controls, h, inverse, mct, phase_shift, ry, x
 from .errors import CapacityError, InvariantError
 
@@ -63,6 +73,9 @@ _PMF_SUM_TOL = 1e-9
 # budgets need, and small enough that 1 << x_qubits is a cheap integer;
 # wider values are refused before any shift or range is formed.
 MAX_X_QUBITS = 1024
+DEFAULT_MAX_QUBITS = 26
+MAX_QUBITS_ENV = "QTRANSPORT_MAX_QUBITS"
+_BLOCK = 1 << 16  # amplitudes squared, or shots drawn, at a time by the blocked loops
 
 
 def _validated_pmf(pmf) -> tuple[float, ...]:
@@ -343,6 +356,40 @@ def build_transport_circuit(problem: TransportProblem) -> Circuit:
     return Circuit(anc_p + 1, tuple(gates), registers)
 
 
+# --- engine ceiling and norm --------------------------------------------------
+
+def engine_max_qubits() -> int:
+    """Qubit ceiling: QTRANSPORT_MAX_QUBITS overrides the default of 26."""
+    raw = os.environ.get(MAX_QUBITS_ENV)
+    if not raw:
+        return DEFAULT_MAX_QUBITS
+    try:
+        ceiling = int(raw)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise CapacityError(f"{MAX_QUBITS_ENV} must be an integer >= 1, got {raw!r}")
+    return ceiling
+
+
+def check_width(n: int) -> None:
+    """Reject an n-qubit circuit outside [1, engine ceiling]: InvariantError
+    below one qubit, CapacityError past the ceiling. Callers whose state is
+    narrower than their circuit check the circuit's width with it first."""
+    if n < 1:
+        raise InvariantError("need at least one qubit")
+    ceiling = engine_max_qubits()
+    if n > ceiling:
+        raise CapacityError(f"{n} qubits exceeds the configured ceiling of {ceiling}")
+
+
+def check_norm(amplitudes: np.ndarray) -> None:
+    """Raise InvariantError unless the amplitudes have norm 1 (to 1e-9)."""
+    norm = float(np.linalg.norm(amplitudes))
+    if abs(norm - 1.0) >= 1e-9:
+        raise InvariantError(f"statevector norm drifted to {norm!r}")
+
+
 # --- register-level simulation -----------------------------------------------
 
 def _loaded_amplitudes(pmf, width: int) -> np.ndarray:
@@ -414,7 +461,7 @@ def _flights(problem: TransportProblem, amplitudes: np.ndarray, positions: np.nd
         moving = np.broadcast_to(moving, shape).copy()
         moving[:-1] = False
         amplitudes, positions, moving = new.ravel(), positions.ravel(), moving.ravel()
-    sim.check_norm(amplitudes)
+    check_norm(amplitudes)
     return amplitudes, positions
 
 
@@ -433,7 +480,7 @@ def transport_branches(problem: TransportProblem) -> tuple[np.ndarray, np.ndarra
     the tests scatter them into the support and compare with the gate kernel.
     """
     n, support = transport_widths(problem)
-    sim.check_width(n)
+    check_width(n)
     nbytes = 16 << support
     if nbytes > np.iinfo(np.intp).max:
         raise CapacityError(f"a {support}-qubit support of {nbytes} bytes is past numpy's index range")
@@ -442,13 +489,13 @@ def transport_branches(problem: TransportProblem) -> tuple[np.ndarray, np.ndarra
 
 def transport_distribution(problem: TransportProblem) -> np.ndarray:
     """Final-position probabilities: the squared branch amplitudes summed by
-    position, one `sim._BLOCK` of the support (2^16 >> x_qubits branches,
+    position, one `_BLOCK` of the support (2^16 >> x_qubits branches,
     at least one) at a time, the blocks added in order, as the rows of a
     dense support's blocks would be summed."""
     amplitudes, positions = transport_branches(problem)
     squares = np.square(np.abs(amplitudes))
     size = problem.position_count
-    step = sim._BLOCK >> problem.x_qubits
+    step = _BLOCK >> problem.x_qubits
     if step <= 1:  # at most one branch per block: the block sums are its squares
         return np.bincount(positions, squares, minlength=size)
     probs = np.zeros(size)
@@ -456,3 +503,24 @@ def transport_distribution(problem: TransportProblem) -> np.ndarray:
         chunk = slice(start, start + step)
         probs += np.bincount(positions[chunk], squares[chunk], minlength=size)
     return probs
+
+
+def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """Counts of `shots` outcomes drawn i.i.d. from a probability vector.
+
+    The uniforms come from one seeded stream, 2^16 (`_BLOCK`) at a time,
+    and each block's counts are added up. PCG64 makes one double per
+    output, so the counts are those of a single draw of every shot, and
+    identical seeds give identical counts; the scratch is one block
+    whatever the number of shots.
+    """
+    if shots < 1:
+        raise InvariantError("shots must be >= 1")
+    cdf = np.cumsum(probs)
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(probs), dtype=np.intp)
+    for start in range(0, shots, _BLOCK):
+        outcomes = np.searchsorted(cdf, rng.random(min(_BLOCK, shots - start)), side="right")
+        np.minimum(outcomes, len(probs) - 1, out=outcomes)
+        counts += np.bincount(outcomes, minlength=len(probs))
+    return counts

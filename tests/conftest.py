@@ -8,8 +8,16 @@ from qtransport import RegionSpec, TransportProblem
 from qtransport.circuit import Circuit
 from qtransport.errors import InvariantError
 from qtransport.qae import build_flag_oracle, build_grover_operator
-from qtransport.sim import _BLOCK, _split, apply_inplace, check_width, zero_state
-from qtransport.transport import MOVE, REACT, transport_branches, transport_widths
+from qtransport.transport import (
+    _BLOCK,
+    MOVE,
+    REACT,
+    check_width,
+    transport_branches,
+    transport_widths,
+)
+
+from reference import _split, apply_inplace, zero_state
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

@@ -1,62 +1,33 @@
-"""Dense statevector engine.
+"""The gate-level reference engine the tests hold the package to.
+
+No command runs a circuit gate by gate: `transport.transport_branches`
+computes the transport circuit's state at register level, and
+`qae.predicate_probability` reads A's flag from those branches. This module
+runs the gate-level `Circuit` IR itself, so every faster path can be
+checked against the only definition of the paper's circuit.
 
 A state is a plain complex128 array of 2^n amplitudes indexed LSB-first
 (bit i of the basis index is qubit i); `zero_state` makes one. Registers are
 passed as tuples of qubits, as in `Circuit.registers`. `apply_inplace` is
-the one way to run a circuit gate by gate and the one gate kernel: it views
-the array with a length-2 axis per qubit a gate touches and one merged axis
-per run of untouched qubits, then fixes the control axes, so each gate
-reads and writes basic-slicing views of its controlled subspace and no
-index arrays are built. `transport.transport_branches` computes the
-transport circuit's state at register level instead, and the tests hold it
-to this kernel; both end with `check_norm`. `check_width` is the ceiling
-check of `zero_state` on its own, for callers whose state is narrower than
-their circuit. `mask_probability` squares and sums a block of amplitudes at
-a time, so its scratch is one block, not a float64 copy of the state.
-
-`sample` draws shots from a probability vector sequentially and vectorized
-from a single seeded stream, a block of 2^16 uniforms at a time, so counts
-are bit-identical for a given seed no matter how the surrounding code is
-parallelized, and its scratch does not grow with the number of shots.
+the one gate kernel: it views the array with a length-2 axis per qubit a
+gate touches and one merged axis per run of untouched qubits, then fixes
+the control axes, so each gate reads and writes basic-slicing views of its
+controlled subspace and no index arrays are built. It ends with
+`transport.check_norm`, as the register-level pass does.
+`mask_probability` squares and sums a block of amplitudes at a time, so its
+scratch is one block, not a float64 copy of the state. `exact_amplitude`
+runs the whole gate-level A and reads its flag.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from .circuit import Circuit, Gate, GateKind
-from .errors import CapacityError, InvariantError
+from qtransport.circuit import Circuit, Gate, GateKind
+from qtransport.errors import CapacityError, InvariantError
+from qtransport.qae import _flag
+from qtransport.transport import _BLOCK, check_norm, check_width
 
-DEFAULT_MAX_QUBITS = 26
-MAX_QUBITS_ENV = "QTRANSPORT_MAX_QUBITS"
-_BLOCK = 1 << 16  # amplitudes squared, or shots drawn, at a time by the blocked loops
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
-
-
-def engine_max_qubits() -> int:
-    """Qubit ceiling: QTRANSPORT_MAX_QUBITS overrides the default of 26."""
-    raw = os.environ.get(MAX_QUBITS_ENV)
-    if not raw:
-        return DEFAULT_MAX_QUBITS
-    try:
-        ceiling = int(raw)
-    except ValueError:
-        ceiling = 0
-    if ceiling < 1:
-        raise CapacityError(f"{MAX_QUBITS_ENV} must be an integer >= 1, got {raw!r}")
-    return ceiling
-
-
-def check_width(n: int) -> None:
-    """Reject an n-qubit circuit outside [1, engine ceiling]: InvariantError
-    below one qubit, CapacityError past the ceiling. Callers whose state is
-    narrower than their circuit check the circuit's width with it first."""
-    if n < 1:
-        raise InvariantError("need at least one qubit")
-    ceiling = engine_max_qubits()
-    if n > ceiling:
-        raise CapacityError(f"{n} qubits exceeds the configured ceiling of {ceiling}")
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -155,13 +126,6 @@ def apply_inplace(amplitudes: np.ndarray, circuit: Circuit) -> None:
     check_norm(amplitudes)
 
 
-def check_norm(amplitudes: np.ndarray) -> None:
-    """Raise InvariantError unless the amplitudes have norm 1 (to 1e-9)."""
-    norm = float(np.linalg.norm(amplitudes))
-    if abs(norm - 1.0) >= 1e-9:
-        raise InvariantError(f"statevector norm drifted to {norm!r}")
-
-
 def mask_probability(amplitudes: np.ndarray, mask) -> float:
     """Probability that the register on the lowest log2(len(mask)) qubits
     takes a value where the boolean `mask` holds.
@@ -189,22 +153,10 @@ def mask_probability(amplitudes: np.ndarray, mask) -> float:
     return float(total)
 
 
-def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """Counts of `shots` outcomes drawn i.i.d. from a probability vector.
-
-    The uniforms come from one seeded stream, 2^16 (sim._BLOCK) at a time,
-    and each block's counts are added up. PCG64 makes one double per
-    output, so the counts are those of a single draw of every shot, and
-    identical seeds give identical counts; the scratch is one block
-    whatever the number of shots.
-    """
-    if shots < 1:
-        raise InvariantError("shots must be >= 1")
-    cdf = np.cumsum(probs)
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(len(probs), dtype=np.intp)
-    for start in range(0, shots, _BLOCK):
-        outcomes = np.searchsorted(cdf, rng.random(min(_BLOCK, shots - start)), side="right")
-        np.minimum(outcomes, len(probs) - 1, out=outcomes)
-        counts += np.bincount(outcomes, minlength=len(probs))
-    return counts
+def exact_amplitude(a: Circuit) -> float:
+    """Flag |1> probability of A|0>, bypassing estimation: the gate-level
+    reference for `qae.predicate_probability`."""
+    flag = _flag(a)
+    amplitudes = zero_state(a.qubit_count)
+    apply_inplace(amplitudes, a)
+    return mask_probability(amplitudes, np.repeat([False, True], 1 << flag))

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qtransport import TransportProblem, sim
+from qtransport import TransportProblem
 from qtransport.circuit import Circuit, mct
 from qtransport.classical_mc import (
     exact_distribution,
@@ -26,7 +26,6 @@ from qtransport.convergence import (
 from qtransport.qae import (
     Predicate,
     build_a_operator,
-    exact_amplitude,
     exponential_schedule,
 )
 from qtransport.resources import circuit_budget, practical_estimate
@@ -38,6 +37,7 @@ from qtransport.transport import (
     transport_distribution,
 )
 
+import reference
 from conftest import (
     HAND_P_ZERO,
     TABLE_A1_REGIONS,
@@ -86,7 +86,7 @@ def test_c2_gadget_exhaustiveness(table_a1):
                 idx = encode_register((4, 5), dv, idx)
                 idx = encode_register((6,), ctrl, idx)
                 out = basis_state(7, idx)
-                sim.apply_inplace(out, adder)
+                reference.apply_inplace(out, adder)
                 want = encode_register((0, 1, 2, 3), (xv + dv) % 16 if ctrl else xv, idx & ~0b1111)
                 adder_err = max(adder_err, abs(out[want] - 1.0))
 
@@ -95,7 +95,7 @@ def test_c2_gadget_exhaustiveness(table_a1):
     comparator_ok = True
     for xv in range(16):
         out = basis_state(5, encode_register((0, 1, 2, 3), xv))
-        sim.apply_inplace(out, comparator)
+        reference.apply_inplace(out, comparator)
         want = encode_register((0, 1, 2, 3), xv, encode_register((4,), int(xv >= 4)))
         comparator_ok &= out[want] == 1.0
 
@@ -105,7 +105,7 @@ def test_c2_gadget_exhaustiveness(table_a1):
         gate = Circuit(k + 1, (mct(tuple(range(k)), k),))
         for b in range(1 << (k + 1)):
             out = basis_state(k + 1, b)
-            sim.apply_inplace(out, gate)
+            reference.apply_inplace(out, gate)
             want = b ^ (1 << k) if all((b >> q) & 1 for q in range(k)) else b
             mct_ok &= out[want] == 1.0
 
@@ -116,8 +116,8 @@ def test_c2_gadget_exhaustiveness(table_a1):
     problems += [random_problem(rng, max_total_qubits=14) for _ in range(5)]
     for problem in problems:
         tc = build_transport_circuit(problem)
-        state = sim.zero_state(tc.qubit_count)
-        sim.apply_inplace(state, tc)
+        state = reference.zero_state(tc.qubit_count)
+        reference.apply_inplace(state, tc)
         anc_worst = max(
             anc_worst,
             marginal(state, tc.registers["AncP"])[1],
@@ -135,8 +135,8 @@ def test_c2_gadget_exhaustiveness(table_a1):
 def test_c3_loader_fidelity():
     def loaded(pmf, width):
         c = build_distribution_loader(pmf, tuple(range(width)))
-        state = sim.zero_state(width)
-        sim.apply_inplace(state, c)
+        state = reference.zero_state(width)
+        reference.apply_inplace(state, c)
         return marginal(state, c.registers["D"])
 
     worst = 0.0
@@ -156,8 +156,8 @@ def test_c3_loader_fidelity():
 
     rotation = build_reaction_rotation(TABLE_A1_REGIONS, 0, 1)
     region1, region2 = basis_state(2, 0), basis_state(2, 1)
-    sim.apply_inplace(region1, rotation)
-    sim.apply_inplace(region2, rotation)
+    reference.apply_inplace(region1, rotation)
+    reference.apply_inplace(region2, rotation)
     p_region1 = marginal(region1, (1,))[1]
     p_region2 = marginal(region2, (1,))[1]
     reaction_err = max(abs(p_region1 - 0.75), abs(p_region2 - 0.60))
@@ -227,7 +227,7 @@ def test_c6_quantum_scaling(table_a1_module, classical_slope):
 
 def test_c7_grover_identity(table_a1):
     a = build_a_operator(table_a1, Predicate.region2())
-    p = exact_amplitude(a)
+    p = reference.exact_amplitude(a)
     theta = math.asin(math.sqrt(p))
     probs = simulated_grover_probabilities(a, range(9))
     want = np.sin((2 * np.arange(9) + 1) * theta) ** 2

@@ -14,8 +14,7 @@ from qtransport.classical_mc import (
     run_tally,
 )
 from qtransport.errors import InvariantError
-from qtransport.sim import _BLOCK
-from qtransport.transport import MOVE
+from qtransport.transport import _BLOCK, MOVE
 
 from conftest import HAND_P_ZERO, flowchart_steps, full_draw_counts, random_problem
 

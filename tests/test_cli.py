@@ -9,12 +9,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtransport import classical_mc, cli, convergence, qae, sim, transport
+from qtransport import classical_mc, cli, convergence, qae, transport
 from qtransport.circuit import parse_circuit
 from qtransport.classical_mc import exact_distribution
 from qtransport.cli import main, parse_problem_dict
 from qtransport.transport import build_transport_circuit
 
+import reference
 from conftest import HAND_P_ZERO, SRC, marginal, problem_to_dict
 
 TABLE_A1_DOC = {
@@ -54,8 +55,8 @@ def gate_level_csv(doc) -> str:
     """`exact`'s CSV from the gate-level statevector (apply_inplace, then
     marginal): the reference the register-level pass is held to."""
     tc = build_transport_circuit(parse_problem_dict(doc))
-    amplitudes = sim.zero_state(tc.qubit_count)
-    sim.apply_inplace(amplitudes, tc)
+    amplitudes = reference.zero_state(tc.qubit_count)
+    reference.apply_inplace(amplitudes, tc)
     rows = enumerate(marginal(amplitudes, tc.registers["X"]))
     return "position,probability\n" + "".join(f"{i},{float(p)!r}\n" for i, p in rows)
 
@@ -432,6 +433,23 @@ class TestExitCodes:
         assert main(["exact", "-p", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: problem file has a number too long to read")
 
+    def test_non_utf8_problem_is_2(self, tmp_path, capsys):
+        # a UnicodeDecodeError is a ValueError, which the digit-limit branch reads
+        path = tmp_path / "latin.json"
+        path.write_bytes(json.dumps(TABLE_A1_DOC).encode().replace(b'"x_qubits"', b'"x_qubits\xff"'))
+        assert main(["exact", "-p", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: problem file is not UTF-8 text: ")
+
+    def test_bare_memory_error_is_4_naming_the_command(self, table_a1_path, monkeypatch, capsys):
+        # Python's own allocations raise MemoryError with no message; numpy's
+        # messages are kept (test_refused_allocation_is_4)
+        def fail(problem):
+            raise MemoryError()
+
+        monkeypatch.setattr(classical_mc, "exact_distribution", fail)
+        assert main(["exact", "-p", table_a1_path, "--oracle"]) == 4
+        assert capsys.readouterr().err == "error: out of memory in exact\n"
+
     def test_unwritable_out_is_1_before_the_work(self, tmp_path, capsys):
         # 3e6 flowchart histories on the mc_long shape, absorbed at 10% per
         # reaction, run for about half a second
@@ -692,7 +710,7 @@ class TestQae:
         pred = qae.parse_predicate(predicate)
         # the gate-level A still gives the old recorded value
         a = qae.build_a_operator(problem, pred)
-        assert qae.exact_amplitude(a) == old
+        assert reference.exact_amplitude(a) == old
         oracle = exact_distribution(problem)[qae.predicate_mask(pred, problem)].sum()
         assert abs(new - old) <= 2e-15
         assert abs(new - oracle) <= abs(old - oracle)

@@ -29,14 +29,13 @@ from qtransport.qae import (
     _likelihood_argmax,
     _log_likelihood,
     build_a_operator,
-    exact_amplitude,
     max_likelihood_theta,
     predicate_mask,
     predicate_probability,
 )
-from qtransport.sim import _BLOCK, apply_inplace, zero_state
-from qtransport.transport import build_transport_circuit, transport_distribution
+from qtransport.transport import _BLOCK, build_transport_circuit, transport_distribution
 
+from reference import apply_inplace, exact_amplitude, zero_state
 from conftest import (
     branch_support,
     embed_support,

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtransport import RegionSpec, TransportProblem, qae, sim
+from qtransport import RegionSpec, TransportProblem, qae
 from qtransport.classical_mc import exact_distribution
 from qtransport.convergence import exact_predicate_probability, quantum_curve
 from qtransport.errors import CapacityError, InvariantError, PredicateError
@@ -19,7 +19,6 @@ from qtransport.qae import (
     build_a_operator,
     build_flag_oracle,
     build_grover_operator,
-    exact_amplitude,
     exponential_schedule,
     max_likelihood_theta,
     mlqae_estimate,
@@ -31,6 +30,7 @@ from qtransport.qae import (
 )
 from qtransport.transport import build_region_flag, build_transport_circuit, transport_widths
 
+from reference import apply_inplace, exact_amplitude, zero_state
 from conftest import (
     TABLE_A1_REGIONS,
     basis_state,
@@ -81,7 +81,7 @@ class TestFlagOracle:
         oracle = build_flag_oracle(table_a1, Predicate.eq(0))
         assert oracle.qubit_count == 15 and oracle.registers["flag"] == (14,)
         state = basis_state(15, 0)
-        sim.apply_inplace(state, oracle)
+        apply_inplace(state, oracle)
         assert marginal(state, (14,))[1] == 1.0
 
     def test_geq_matches_region_flag_gadget(self, table_a1):
@@ -89,9 +89,9 @@ class TestFlagOracle:
         gadget = build_region_flag((0, 1, 2, 3), 4, oracle.registers["flag"][0])
         for xv in range(16):
             a = basis_state(15, xv)
-            sim.apply_inplace(a, oracle)
+            apply_inplace(a, oracle)
             b = basis_state(15, xv)
-            sim.apply_inplace(b, gadget)
+            apply_inplace(b, gadget)
             np.testing.assert_array_equal(a, b)
 
     def test_amplitude_equals_oracle_mass(self, table_a1):
@@ -177,7 +177,7 @@ class TestPredicateProbability:
         # the transport circuit fits a 14-qubit ceiling; A needs 15
         monkeypatch.setenv("QTRANSPORT_MAX_QUBITS", "14")
         tc = build_transport_circuit(table_a1)
-        sim.zero_state(tc.qubit_count)
+        zero_state(tc.qubit_count)
         with pytest.raises(CapacityError, match="15 qubits exceeds the configured ceiling of 14"):
             predicate_probability(table_a1, Predicate.region2())
 

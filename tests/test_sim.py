@@ -4,17 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtransport import sim
 from qtransport.circuit import Circuit, h, mct, ry, x
 from qtransport.errors import CapacityError, InvariantError
-from qtransport.sim import (
-    MAX_QUBITS_ENV,
-    apply_inplace,
-    mask_probability,
-    sample,
-    zero_state,
-)
+from qtransport.transport import _BLOCK, MAX_QUBITS_ENV, sample
 
+from reference import apply_inplace, mask_probability, zero_state
 from conftest import basis_state, low_marginal, marginal, register_value
 from test_circuit import random_circuit
 
@@ -317,7 +311,7 @@ class TestMaskProbability:
         for n in (4, 10, 17, 18):
             state = random_state(n, n)
             half = state[len(state) // 2 :]
-            blocks = [half[k : k + sim._BLOCK] for k in range(0, len(half), sim._BLOCK)]
+            blocks = [half[k : k + _BLOCK] for k in range(0, len(half), _BLOCK)]
             want = 0.0
             for block in blocks:
                 want += np.square(np.abs(block)).sum()
@@ -333,7 +327,7 @@ class TestMaskProbability:
         finally:
             tracemalloc.stop()
         # one float64 block, the inverted mask and small change
-        assert peak < 8 * sim._BLOCK + 2 * len(mask) + (16 << 10)
+        assert peak < 8 * _BLOCK + 2 * len(mask) + (16 << 10)
 
 
 class TestSample:
@@ -365,7 +359,7 @@ class TestSample:
         with pytest.raises(InvariantError):
             sample(marginal(zero_state(2), (0,)), 0, seed=0)
 
-    @pytest.mark.parametrize("shots", [1, 5, sim._BLOCK, sim._BLOCK + 1, 3 * sim._BLOCK + 5])
+    @pytest.mark.parametrize("shots", [1, 5, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 5])
     def test_blocks_draw_the_single_stream(self, shots):
         # the counts a single draw of every shot gives, across block edges
         probs = np.random.default_rng(4).random(37)
@@ -382,12 +376,12 @@ class TestSample:
         probs = np.full(8, 1 / 8)
         tracemalloc.start()
         try:
-            counts = sample(probs, 16 * sim._BLOCK + 3, seed=2)
+            counts = sample(probs, 16 * _BLOCK + 3, seed=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert counts.sum() == 16 * sim._BLOCK + 3
-        assert peak <= 4 * 8 * sim._BLOCK
+        assert counts.sum() == 16 * _BLOCK + 3
+        assert peak <= 4 * 8 * _BLOCK
 
     def test_empirical_matches_exact_ks(self):
         # KS distance between empirical and exact CDFs at one million shots

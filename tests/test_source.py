@@ -10,7 +10,7 @@ PACKAGE_FILES = sorted(pathlib.Path(SRC, "qtransport").glob("*.py"))
 
 
 def test_package_files_found():
-    assert {"cli.py", "qae.py", "sim.py", "transport.py"} <= {p.name for p in PACKAGE_FILES}
+    assert {"cli.py", "qae.py", "transport.py"} <= {p.name for p in PACKAGE_FILES}
 
 
 @pytest.mark.parametrize("path", PACKAGE_FILES, ids=lambda p: p.name)
@@ -25,7 +25,6 @@ def test_no_assert_statements(path):
 KEPT = {
     "build_a_operator": "gate-level A, the definition predicate_probability is held to",
     "build_grover_operator": "gate-level Q, the definition amplified_probabilities is held to",
-    "exact_amplitude": "runs the gate-level A; the reference for predicate_probability",
     "parse_circuit": "reads the dump-circuit format back",
     "expected_flights": "acceptance C8's closed form",
     "mean_flights_uncapped": "acceptance C8's sampled mean",

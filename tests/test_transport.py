@@ -12,12 +12,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qtransport import RegionSpec, TransportProblem, sim
+from qtransport import RegionSpec, TransportProblem
 from qtransport.circuit import Circuit, GateKind, add_controls
 from qtransport.classical_mc import exact_distribution
 from qtransport.errors import InvariantError
 from qtransport.qae import Predicate, build_a_operator
 from qtransport.transport import (
+    _BLOCK,
+    DEFAULT_MAX_QUBITS,
     MOVE,
     REACT,
     _flights,
@@ -33,6 +35,7 @@ from qtransport.transport import (
     transport_widths,
 )
 
+import reference
 from conftest import (
     SRC,
     TABLE_A1_REGIONS,
@@ -112,8 +115,8 @@ class TestSteps:
 class TestDistributionLoader:
     def loaded_marginal(self, pmf, width):
         c = build_distribution_loader(pmf, tuple(range(width)))
-        state = sim.zero_state(max(width, 1))
-        sim.apply_inplace(state, c)
+        state = reference.zero_state(max(width, 1))
+        reference.apply_inplace(state, c)
         return marginal(state, c.registers["D"])
 
     def test_reference_angle_tree(self):
@@ -132,8 +135,8 @@ class TestDistributionLoader:
         c = build_distribution_loader((1.0, 0.0, 0.0, 0.0), (0, 1))
         assert all(g.angle == 0.0 for g in c.gates)
         assert len(c.gates) == 2  # the empty {2,3} branch is skipped
-        state = sim.zero_state(2)
-        sim.apply_inplace(state, c)
+        state = reference.zero_state(2)
+        reference.apply_inplace(state, c)
         assert state[0] == 1.0
 
     def test_zero_tail_branch_angle(self):
@@ -164,8 +167,8 @@ class TestDistributionLoader:
         pmfs += [random_pmf(rng, int(rng.integers(1, 17))) for _ in range(200)]
         for pmf in pmfs:
             width = (len(pmf) - 1).bit_length() + int(rng.integers(0, 2))
-            state = sim.zero_state(width) if width else np.ones(1, dtype=np.complex128)
-            sim.apply_inplace(state, build_distribution_loader(pmf, range(width)))
+            state = reference.zero_state(width) if width else np.ones(1, dtype=np.complex128)
+            reference.apply_inplace(state, build_distribution_loader(pmf, range(width)))
             got = _loaded_amplitudes(pmf, width)
             np.testing.assert_array_equal(got.view(np.uint64), state.view(np.uint64))
 
@@ -200,7 +203,7 @@ class TestRegionFlag:
             assert all(g.controls for g in c.gates), f"width {width}"
             for xv in range(1 << width):
                 out = basis_state(width + 1, encode_register(x_register, xv))
-                sim.apply_inplace(out, c)
+                reference.apply_inplace(out, c)
                 flag = encode_register((width,), int(xv >= boundary))
                 assert out[encode_register(x_register, xv, flag)] == 1.0, f"width {width}, x {xv}"
 
@@ -215,7 +218,7 @@ class TestReactionRotation:
     def probability(self, anc_value):
         c = build_reaction_rotation(TABLE_A1_REGIONS, 0, 1)
         state = basis_state(2, anc_value)
-        sim.apply_inplace(state, c)
+        reference.apply_inplace(state, c)
         return marginal(state, (1,))[1]
 
     def test_region1_scatter_probability(self):
@@ -229,7 +232,7 @@ class TestReactionRotation:
         c = build_reaction_rotation(regions, 0, 1)
         assert all(g.angle == 0.0 for g in c.gates)
         state = basis_state(2, 0)
-        sim.apply_inplace(state, c)
+        reference.apply_inplace(state, c)
         assert state[0] == 1.0
 
 
@@ -238,7 +241,7 @@ class TestControlledAdder:
         c = build_controlled_adder((0, 1, 2, 3), (4, 5), 6)
         idx = encode_register((0, 1, 2, 3), 5, encode_register((4, 5), 3, 1 << 6))
         out = basis_state(7, idx)
-        sim.apply_inplace(out, c)
+        reference.apply_inplace(out, c)
         want = encode_register((0, 1, 2, 3), 8, encode_register((4, 5), 3, 1 << 6))
         assert abs(out[want] - 1.0) < 1e-10
 
@@ -246,7 +249,7 @@ class TestControlledAdder:
         c = build_controlled_adder((0, 1, 2, 3), (4, 5), 6)
         idx = encode_register((0, 1, 2, 3), 5, encode_register((4, 5), 3))
         out = basis_state(7, idx)
-        sim.apply_inplace(out, c)
+        reference.apply_inplace(out, c)
         assert abs(out[idx] - 1.0) < 1e-10
 
     def test_exhaustive_modular_addition(self):
@@ -266,7 +269,7 @@ class TestControlledAdder:
                     idx = encode_register(d_register, dv, idx)
                     idx = encode_register((control,), ctrl, idx)
                     out = basis_state(n, idx)
-                    sim.apply_inplace(out, Circuit(n, c.gates))
+                    reference.apply_inplace(out, Circuit(n, c.gates))
                     moved = ctrl or not gated
                     target_x = (xv + dv) % (1 << width) if moved else xv
                     want = encode_register(x_register, target_x, idx)
@@ -276,7 +279,7 @@ class TestControlledAdder:
         c = build_controlled_adder((0, 1, 2), (3,))
         idx = encode_register((0, 1, 2), 6, encode_register((3,), 1))
         out = basis_state(4, idx)
-        sim.apply_inplace(out, c)
+        reference.apply_inplace(out, c)
         want = encode_register((0, 1, 2), 7, encode_register((3,), 1))
         assert abs(out[want] - 1.0) < 1e-10
 
@@ -403,8 +406,8 @@ class TestTransportCircuit:
 
     def test_ancillae_restored(self, table_a1):
         tc = build_transport_circuit(table_a1)
-        state = sim.zero_state(tc.qubit_count)
-        sim.apply_inplace(state, tc)
+        state = reference.zero_state(tc.qubit_count)
+        reference.apply_inplace(state, tc)
         assert marginal(state, tc.registers["AncP"])[1] < 1e-12
         assert marginal(state, tc.registers["AncR"])[1] < 1e-12
 
@@ -430,14 +433,14 @@ def gate_and_register_states(problem, x_state=None):
     state that is zero off it. From x_state the branches start one per
     position, each with its amplitude."""
     tc = build_transport_circuit(problem)
-    gate_level = sim.zero_state(tc.qubit_count)
+    gate_level = reference.zero_state(tc.qubit_count)
     if x_state is None:
         support = branch_support(problem)
     else:
         gate_level[: len(x_state)] = x_state
         start = np.arange(len(x_state))
         support = scatter_branches(*_flights(problem, x_state, start), problem)
-    sim.apply_inplace(gate_level, tc)
+    reference.apply_inplace(gate_level, tc)
     return gate_level, embed_support(support, tc)
 
 
@@ -508,7 +511,7 @@ class TestRegisterLevel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 16 * sim._BLOCK
+        assert peak <= 16 * _BLOCK
         # (D, X) = (0, 0) and (1, 1), each with amplitude sqrt(1/2)
         np.testing.assert_array_equal(positions, [0, 1])
         np.testing.assert_allclose(amplitudes, np.sqrt(0.5), rtol=0, atol=1e-15)
@@ -520,7 +523,7 @@ class TestRegisterLevel:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= dist.nbytes + 16 * sim._BLOCK + (64 << 10)
+        assert peak <= dist.nbytes + 16 * _BLOCK + (64 << 10)
         np.testing.assert_allclose(dist[:2], [0.5, 0.5], rtol=0, atol=1e-15)
 
     def test_norm_check_raises_under_optimize(self):
@@ -576,7 +579,7 @@ class TestBranches:
 
     def test_ceiling_distribution_peak(self):
         # 2^17 branches: 2 MiB of amplitudes and 1 MiB of positions
-        assert transport_widths(CEILING_PROBLEM)[0] == sim.DEFAULT_MAX_QUBITS
+        assert transport_widths(CEILING_PROBLEM)[0] == DEFAULT_MAX_QUBITS
         tracemalloc.start()
         try:
             dist = transport_distribution(CEILING_PROBLEM)
