@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import subprocess
@@ -181,18 +182,31 @@ EXACT_P_GOLDENS = {
 }
 
 
-def run_cli(*args, env=None):
+def cli_env(env=None):
     full_env = dict(os.environ)
     full_env["PYTHONPATH"] = os.pathsep.join(filter(None, (SRC, full_env.get("PYTHONPATH"))))
     if env:
         full_env.update(env)
+    return full_env
+
+
+def run_cli(*args, env=None, stdout=subprocess.PIPE):
     return subprocess.run(
         [sys.executable, "-m", "qtransport", *args],
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         text=True,
-        env=full_env,
+        env=cli_env(env),
         timeout=120,
     )
+
+
+def wide_path(tmp_path, x_qubits):
+    """Table A1's regions over one flight, on a 2^x_qubits-position table."""
+    doc = dict(TABLE_A1_DOC, x_qubits=x_qubits, max_flights=1, boundary=1 << (x_qubits - 1))
+    path = tmp_path / f"wide{x_qubits}.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
 
 
 @pytest.fixture
@@ -480,6 +494,101 @@ class TestExitCodes:
         assert result.stderr.startswith("error: cannot write output file")
         assert "Traceback" not in result.stderr
         assert not os.path.exists(out)
+
+
+    def test_full_stdout_is_1(self, table_a1_path):
+        # every write to /dev/full fails with ENOSPC
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        for args in ("exact",), ("qae", "--predicate", "region2"):
+            with open("/dev/full", "w") as full:
+                result = run_cli(*args, "-p", table_a1_path, stdout=full)
+            assert result.returncode == 1
+            assert result.stderr.startswith("error: cannot write output")
+            assert result.stderr.count("\n") == 1  # no traceback, nothing at shutdown
+
+    def test_closed_pipe_is_1(self, tmp_path):
+        # 2^17 rows are about 3 MB, more than a pipe holds, so the reader
+        # closes its end while the table is still being written
+        argv = [sys.executable, "-m", "qtransport", "exact", "-p", wide_path(tmp_path, 17)]
+        with subprocess.Popen(
+            argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=cli_env()
+        ) as proc:
+            assert proc.stdout.readline() == "position,probability\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        assert stderr.startswith("error: cannot write output")
+        assert stderr.count("\n") == 1
+
+
+class TestTableWriter:
+    """Tables leave `cli._ROWS` rows at a time, as the bytes `csv.writer`
+    makes of the whole table; x_qubits 17 is two chunks."""
+
+    @staticmethod
+    def csv_text(header, rows):
+        buffer = io.StringIO()
+        writer = csv.writer(buffer, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        return buffer.getvalue()
+
+    def assert_writes(self, argv, want, tmp_path, capsys):
+        assert main(argv) == 0
+        assert capsys.readouterr().out == want
+        out = tmp_path / "table.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        assert out.read_text() == want
+
+    @pytest.mark.parametrize("oracle", [False, True], ids=["circuit", "oracle"])
+    def test_exact_over_two_chunks(self, tmp_path, capsys, oracle):
+        path = wide_path(tmp_path, 17)
+        problem = cli.load_problem(path)
+        dist = exact_distribution(problem) if oracle else transport.transport_distribution(problem)
+        assert len(dist) == 2 * cli._ROWS
+        rows = ((position, repr(float(p))) for position, p in enumerate(dist))
+        want = self.csv_text(("position", "probability"), rows)
+        argv = ["exact", "-p", path, *(["--oracle"] if oracle else [])]
+        self.assert_writes(argv, want, tmp_path, capsys)
+
+    @pytest.mark.parametrize("mode", ["flowchart", "circuit"])
+    def test_mc_over_two_chunks(self, tmp_path, capsys, mode):
+        path = wide_path(tmp_path, 17)
+        problem = cli.load_problem(path)
+        shots, seed = 3000, 5
+        if mode == "flowchart":
+            counts = classical_mc.run_tally(problem, shots, seed)
+        else:
+            counts = transport.sample(transport.transport_distribution(problem), shots, seed)
+        assert len(counts) == 2 * cli._ROWS
+        rows = ((i, int(count), repr(int(count) / shots)) for i, count in enumerate(counts))
+        want = self.csv_text(("position", "count", "frequency"), rows)
+        argv = ["mc", "-p", path, "--shots", str(shots), "--seed", str(seed), "--mode", mode]
+        self.assert_writes(argv, want, tmp_path, capsys)
+
+    def test_frequency_is_exact_past_2_53(self, table_a1_path, monkeypatch, capsys):
+        # a count past 2^53 has no float64; dividing Python ints rounds once
+        shots = (1 << 53) + 4
+        counts = np.zeros(16, dtype=np.int64)
+        counts[:2] = 3, (1 << 53) + 1
+        monkeypatch.setattr(classical_mc, "run_tally", lambda problem, shots, seed: counts)
+        assert main(["mc", "-p", table_a1_path, "--shots", str(shots)]) == 0
+        rows = read_csv(capsys.readouterr().out)
+        assert rows[1] == {"position": "1", "count": str(counts[1]), "frequency": "0.9999999999999997"}
+        assert float(counts[1] / shots) != 0.9999999999999997  # numpy's float64 division
+
+    def test_peak_is_the_distribution_and_one_chunk(self, tmp_path):
+        # x_qubits 18: a 2 MiB distribution; the table as one list of row
+        # tuples and one string peaked at 47 MiB
+        path = wide_path(tmp_path, 18)
+        tracemalloc.start()
+        try:
+            assert main(["exact", "-p", path, "--out", str(tmp_path / "table.csv")]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= (8 << 18) + 128 * cli._ROWS, peak
 
 
 class TestExact:

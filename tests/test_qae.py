@@ -133,9 +133,12 @@ class TestPredicateProbability:
         preds = Predicate.region2(), Predicate.geq(problem.boundary), Predicate.eq(v)
         self.assert_matches_gate_level(problem, preds)
 
-    # supports past a 2^16-amplitude block: 17 qubits, and 19 with x_qubits
-    # 17, where one row of positions is wider than a block
-    @pytest.mark.parametrize("x_qubits, flights, support", [(9, 3, 17), (17, 1, 19)])
+    # supports past a 2^16-amplitude block: 17 qubits, 21 with x_qubits 16,
+    # where each block holds one of 32 branches, and 19 with x_qubits 17,
+    # where one row of positions is wider than a block
+    @pytest.mark.parametrize(
+        "x_qubits, flights, support", [(9, 3, 17), (16, 2, 21), (17, 1, 19)]
+    )
     def test_wide_support_is_the_flag_half_bitwise(self, x_qubits, flights, support):
         problem = TransportProblem(
             x_qubits=x_qubits, max_flights=flights, boundary=1, regions=TABLE_A1_REGIONS
