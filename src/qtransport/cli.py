@@ -1,17 +1,16 @@
 """Batch command-line front end.
 
 Problems are JSON files (strict schema, unknown fields rejected);
-distributions go out as CSV written 2^16 rows at a time, estimates as JSON.
-Every command is deterministic given its full flag set. Exit codes: 0 ok, 1
-an output file or stdout that cannot be written, 2 problem-file parse error,
-3 invariant violation, 4 engine capacity exceeded or an allocation refused,
-5 bad predicate.
+distributions go out as CSV, row by row, estimates as JSON. Every command is
+deterministic given its full flag set. Exit codes: 0 ok, 1 output (a file or
+stdout) that cannot be written, 2 problem-file parse error, 3 invariant
+violation, 4 engine capacity exceeded or an allocation refused, 5 bad predicate.
 """
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
-import itertools
 import json
 import sys
 
@@ -41,7 +40,6 @@ EXIT_CODES = {
     PredicateError: 5,
 }
 
-_ROWS = 1 << 16  # table rows formatted into one chunk of output text
 _REGION_FIELDS = {"distance_pmf", "p_absorb"}
 _PROBLEM_FIELDS = {
     "x_qubits",
@@ -123,15 +121,15 @@ def load_problem(path: str) -> TransportProblem:
     return parse_problem_dict(doc)
 
 
-def _emit(chunks, out_path: str | None) -> None:
-    """Write the text chunks to stdout, flushed, or to the `--out` file; a failed write exits 1."""
+def _emit(write, out_path: str | None) -> None:
+    """Run `write(handle)` on flushed stdout or on the `--out` file; a failed write exits 1."""
     try:
         if out_path is None:
-            sys.stdout.writelines(chunks)
+            write(sys.stdout)
             sys.stdout.flush()
         else:
             with open(out_path, "w") as handle:
-                handle.writelines(chunks)
+                write(handle)
     except OSError as exc:
         raise QTransportError(f"cannot write output file: {exc}") from exc
 
@@ -154,13 +152,13 @@ def _check_out(out_path: str | None) -> None:
         raise QTransportError(f"cannot write output file: {out_path!r}")
 
 
-def _table(header, *columns):
-    """The CSV table as text: the header line, then `_ROWS` rows per chunk.
-    The columns are iterables read in step; no field, as `str` writes it, needs quotes."""
-    yield ",".join(header) + "\n"
-    rows = map(",".join, zip(*(map(str, column) for column in columns)))
-    while chunk := "\n".join(itertools.islice(rows, _ROWS)):
-        yield chunk + "\n"
+def _table(header, rows):
+    """The `write` for `_emit` of a CSV table, streamed row by row through the handle's buffer."""
+    def write(handle) -> None:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return write
 
 
 def _parse_schedule(text: str) -> tuple[int, ...]:
@@ -184,7 +182,7 @@ def cmd_exact(args) -> int:
         dist = classical_mc.exact_distribution(problem)
     else:
         dist = transport_distribution(problem)
-    _emit(_table(("position", "probability"), range(len(dist)), map(float, dist)), args.out)
+    _emit(_table(("position", "probability"), enumerate(map(float, dist))), args.out)
     return 0
 
 
@@ -197,8 +195,8 @@ def cmd_mc(args) -> int:
         counts = classical_mc.run_tally(problem, args.shots, args.seed)
     else:
         counts = sample(transport_distribution(problem), args.shots, args.seed)
-    freq = (int(count) / args.shots for count in counts)  # Python ints: rounded once past 2^53
-    _emit(_table(("position", "count", "frequency"), range(len(counts)), counts, freq), args.out)
+    rows = ((i, int(count), int(count) / args.shots) for i, count in enumerate(counts))
+    _emit(_table(("position", "count", "frequency"), rows), args.out)
     return 0
 
 
@@ -214,7 +212,8 @@ def cmd_qae(args) -> int:
     report["predicate"] = str(pred)
     report["exact_p"] = estimate.exact_p
     report["seed"] = args.seed
-    _emit([json.dumps(report, indent=2) + "\n"], args.out)
+    text = json.dumps(report, indent=2) + "\n"
+    _emit(lambda handle: handle.write(text), args.out)
     return 0
 
 
@@ -225,7 +224,8 @@ def cmd_resources(args) -> int:
         report = resources.practical_estimate(args.flights).to_dict()
     else:
         report = resources.circuit_budget(load_problem(args.problem))
-    _emit([json.dumps(report, indent=2) + "\n"], args.out)
+    text = json.dumps(report, indent=2) + "\n"
+    _emit(lambda handle: handle.write(text), args.out)
     return 0
 
 
@@ -250,14 +250,14 @@ def cmd_convergence(args) -> int:
     points += convergence.quantum_curve(
         problem, pred, schedule, args.shots_per_power, args.seeds, p_true
     )
-    header = ("method", "budget", "rmse")
-    _emit(_table(header, *([getattr(p, name) for p in points] for name in header)), args.out)
+    rows = ((p.method, p.budget, p.rmse) for p in points)
+    _emit(_table(("method", "budget", "rmse"), rows), args.out)
     return 0
 
 
 def cmd_dump_circuit(args) -> int:
-    problem = load_problem(args.problem)
-    _emit([dump_circuit(build_transport_circuit(problem))], args.out)
+    text = dump_circuit(build_transport_circuit(load_problem(args.problem)))
+    _emit(lambda handle: handle.write(text), args.out)
     return 0
 
 

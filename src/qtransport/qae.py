@@ -188,20 +188,17 @@ def predicate_probability(problem: TransportProblem, pred: Predicate) -> float:
     match the gate-level A: each block of `_BLOCK` support amplitudes (the
     whole support if smaller) is one zeroed buffer with the block's
     selected squares scattered to their places in it, and the blocks' sums
-    are added in order. Where a block holds at most one branch, its sum is
-    that branch's square, so the squares are added in order. The predicate
-    is checked first and the width check counts A's qubits; no array has
-    the support's size.
+    are added in order. The
+    predicate is checked first and the width check counts A's qubits; no
+    array has the support's size.
     """
     check_a_operator(problem, pred)
     amplitudes, positions = transport_branches(problem)
     width = problem.x_qubits
     squares = np.square(np.abs(amplitudes))
     squares[~_selects(pred, problem, positions)] = 0.0
-    step = _BLOCK >> width  # branches per block
-    if step <= 1:  # a sequential sum: Python's sum compensates from 3.12
-        return float(np.cumsum(squares)[-1])
     block = np.zeros(min(_BLOCK, len(squares) << width))
+    step = max(1, _BLOCK >> width)  # branches per block
     total = 0.0
     for start in range(0, len(squares), step):
         chunk = slice(start, start + step)

@@ -523,8 +523,8 @@ class TestExitCodes:
 
 
 class TestTableWriter:
-    """Tables leave `cli._ROWS` rows at a time, as the bytes `csv.writer`
-    makes of the whole table; x_qubits 17 is two chunks."""
+    """Tables stream row by row to the bytes `csv.writer` makes of the whole
+    table in memory; x_qubits 17 is 2^17 rows."""
 
     @staticmethod
     def csv_text(header, rows):
@@ -542,18 +542,18 @@ class TestTableWriter:
         assert out.read_text() == want
 
     @pytest.mark.parametrize("oracle", [False, True], ids=["circuit", "oracle"])
-    def test_exact_over_two_chunks(self, tmp_path, capsys, oracle):
+    def test_exact_is_the_whole_tables_bytes(self, tmp_path, capsys, oracle):
         path = wide_path(tmp_path, 17)
         problem = cli.load_problem(path)
         dist = exact_distribution(problem) if oracle else transport.transport_distribution(problem)
-        assert len(dist) == 2 * cli._ROWS
+        assert len(dist) == 1 << 17
         rows = ((position, repr(float(p))) for position, p in enumerate(dist))
         want = self.csv_text(("position", "probability"), rows)
         argv = ["exact", "-p", path, *(["--oracle"] if oracle else [])]
         self.assert_writes(argv, want, tmp_path, capsys)
 
     @pytest.mark.parametrize("mode", ["flowchart", "circuit"])
-    def test_mc_over_two_chunks(self, tmp_path, capsys, mode):
+    def test_mc_is_the_whole_tables_bytes(self, tmp_path, capsys, mode):
         path = wide_path(tmp_path, 17)
         problem = cli.load_problem(path)
         shots, seed = 3000, 5
@@ -561,7 +561,7 @@ class TestTableWriter:
             counts = classical_mc.run_tally(problem, shots, seed)
         else:
             counts = transport.sample(transport.transport_distribution(problem), shots, seed)
-        assert len(counts) == 2 * cli._ROWS
+        assert len(counts) == 1 << 17
         rows = ((i, int(count), repr(int(count) / shots)) for i, count in enumerate(counts))
         want = self.csv_text(("position", "count", "frequency"), rows)
         argv = ["mc", "-p", path, "--shots", str(shots), "--seed", str(seed), "--mode", mode]
@@ -578,7 +578,7 @@ class TestTableWriter:
         assert rows[1] == {"position": "1", "count": str(counts[1]), "frequency": "0.9999999999999997"}
         assert float(counts[1] / shots) != 0.9999999999999997  # numpy's float64 division
 
-    def test_peak_is_the_distribution_and_one_chunk(self, tmp_path):
+    def test_peak_is_the_distribution_and_1_mib(self, tmp_path):
         # x_qubits 18: a 2 MiB distribution; the table as one list of row
         # tuples and one string peaked at 47 MiB
         path = wide_path(tmp_path, 18)
@@ -588,7 +588,7 @@ class TestTableWriter:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= (8 << 18) + 128 * cli._ROWS, peak
+        assert peak <= (8 << 18) + (1 << 20), peak
 
 
 class TestExact:
