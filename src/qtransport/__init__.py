@@ -15,14 +15,8 @@ from .circuit import (
     compose,
     dump_circuit,
     inverse,
-    parse_circuit,
 )
-from .classical_mc import (
-    exact_distribution,
-    expected_flights,
-    run_history,
-    run_tally,
-)
+from .classical_mc import exact_distribution, run_tally
 from .errors import (
     CapacityError,
     InvariantError,

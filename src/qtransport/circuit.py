@@ -17,7 +17,6 @@ Conventions:
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
@@ -178,14 +177,6 @@ def add_controls(c: Circuit, controls: Sequence[Control]) -> Circuit:
 # register NAME=[i,..]
 # KIND(angle?) targets=[i] controls=[+i|-i,..]
 
-_HEADER = re.compile(r"^qubits=(?P<count>\d+)$")
-_REGISTER_LINE = re.compile(r"^register (?P<name>[^=]+)=\[(?P<qubits>(\d+(,\d+)*)?)\]$")
-_GATE_LINE = re.compile(
-    r"^(?P<kind>[A-Za-z]+)(\((?P<angle>[^)]*)\))?"
-    r" targets=\[(?P<target>\d+)\]"
-    r" controls=\[(?P<controls>([+-]\d+(,[+-]\d+)*)?)\]$"
-)
-
 
 def dump_circuit(c: Circuit) -> str:
     """Render a circuit in the one-gate-per-line dump format."""
@@ -200,33 +191,3 @@ def dump_circuit(c: Circuit) -> str:
         controls = ",".join(("+" if pol else "-") + str(q) for q, pol in gate.controls)
         lines.append(f"{kind} targets=[{targets}] controls=[{controls}]")
     return "\n".join(lines) + "\n"
-
-
-def parse_circuit(text: str) -> Circuit:
-    """Parse the dump format back into a Circuit (round-trips dump_circuit);
-    any line off the format raises InvariantError."""
-    lines = [line for line in text.splitlines() if line.strip()]
-    header = _HEADER.match(lines[0]) if lines else None
-    if header is None:
-        raise InvariantError("dump must start with a qubits=N header")
-    registers: dict[str, tuple[int, ...]] = {}
-    gates: list[Gate] = []
-    kinds = {k.value: k for k in GateKind}
-    for line in lines[1:]:
-        m = _REGISTER_LINE.match(line)
-        if m is not None:
-            registers[m.group("name")] = tuple(int(s) for s in m.group("qubits").split(",") if s)
-            continue
-        m = _GATE_LINE.match(line)
-        if m is None:
-            raise InvariantError(f"unparseable line: {line!r}")
-        kind = kinds.get(m.group("kind"))
-        if kind is None:
-            raise InvariantError(f"unknown gate kind in line: {line!r}")
-        try:
-            angle = None if m.group("angle") is None else float(m.group("angle"))
-        except ValueError:
-            raise InvariantError(f"angle is not a number in line: {line!r}") from None
-        controls = [(int(s[1:]), s[0] == "+") for s in m.group("controls").split(",") if s]
-        gates.append(Gate(kind, (int(m.group("target")),), controls, angle=angle))
-    return Circuit(int(header.group("count")), tuple(gates), registers)

@@ -18,8 +18,8 @@ checkable.
 
 `run_tally` runs a batch of histories, one block of 2^16 (`transport._BLOCK`)
 at a time, and works only on those still in flight: an absorbed history's
-position is recorded at once and the history dropped. `run_history` is
-that batch sampler run for one shot. Three rules fix every seeded output:
+position is recorded at once and the history dropped. Three rules fix
+every seeded output:
 
 - blocks run in order, and at each draw site a block draws one uniform per
   live history, which the live histories read in block-offset order; so a
@@ -30,9 +30,6 @@ that batch sampler run for one shot. Three rules fix every seeded output:
   seed;
 - a flight distance is the number of k < d_max with u >= cdf[k], which for
   a monotone cdf equals min(searchsorted(cdf, u, "right"), d_max) exactly.
-
-`run_history` shares the caller's generator, and advances it by the draws
-its history took.
 """
 from __future__ import annotations
 
@@ -40,39 +37,6 @@ import numpy as np
 
 from .errors import CapacityError, InvariantError
 from .transport import _BLOCK, MOVE, REACT, TransportProblem
-
-FLIGHT_CAP = 10**6
-
-
-def expected_flights(p_absorb: float) -> float:
-    """Mean number of flights before absorption: 1/p_absorb."""
-    if not 0.0 < p_absorb <= 1.0:
-        raise InvariantError(f"p_absorb must be in (0, 1], got {p_absorb}")
-    return 1.0 / p_absorb
-
-
-def mean_flights_uncapped(p_absorb: float, histories: int, seed: int) -> float:
-    """Empirical mean flight count in a single region with no flight cap.
-
-    Histories are cut off (with an error) at FLIGHT_CAP flights, which is
-    unreachable in practice for any p_absorb of interest.
-    """
-    if not 0.0 < p_absorb <= 1.0:
-        raise InvariantError(f"p_absorb must be in (0, 1], got {p_absorb}")
-    if histories < 1:
-        raise InvariantError("histories must be >= 1")
-    rng = np.random.default_rng(seed)
-    total = 0
-    alive = histories
-    rounds = 0
-    while alive:
-        rounds += 1
-        if rounds > FLIGHT_CAP:
-            raise InvariantError(f"history exceeded the {FLIGHT_CAP}-flight cap")
-        total += alive
-        alive = int(np.count_nonzero(rng.random(alive) >= p_absorb))
-    return total / histories
-
 
 def _check_positions(problem: TransportProblem) -> None:
     """CapacityError naming the bytes if numpy cannot index a vector of 8-byte
@@ -143,13 +107,8 @@ def _simulate_counts(
             else:
                 pos, settled = react(rng.random(len(pos)), pos, final, settled)
         final[settled:] = pos
-        counts += np.bincount(final, minlength=len(counts))
+        np.add.at(counts, final, 1)
     return counts
-
-
-def run_history(problem: TransportProblem, rng: np.random.Generator) -> int:
-    """One sampled particle history; returns the final position."""
-    return int(_simulate_counts(problem, 1, rng).argmax())
 
 
 def run_tally(problem: TransportProblem, shots: int, seed: int) -> np.ndarray:

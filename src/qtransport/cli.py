@@ -9,9 +9,12 @@ violation, 4 engine capacity exceeded or an allocation refused, 5 bad predicate.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
+import os
+import stat
 import sys
 
 from . import classical_mc, convergence, qae, resources
@@ -122,14 +125,30 @@ def load_problem(path: str) -> TransportProblem:
 
 
 def _emit(write, out_path: str | None) -> None:
-    """Run `write(handle)` on flushed stdout or on the `--out` file; a failed write exits 1."""
+    """Run `write(handle)` on flushed stdout or on the `--out` file; a failed write exits 1.
+
+    A failure of any kind once the file is open (a write, the formatting of a
+    row, an interrupt) removes the file before it propagates, so no partial
+    table is left behind. Only the regular file that was opened is removed,
+    never a device, a FIFO or a symlink, and a failed removal is ignored so
+    the first error keeps its exit code.
+    """
     try:
         if out_path is None:
             write(sys.stdout)
             sys.stdout.flush()
         else:
-            with open(out_path, "w") as handle:
-                write(handle)
+            handle = open(out_path, "w")
+            opened = os.fstat(handle.fileno())
+            try:
+                with handle:
+                    write(handle)
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    named = os.lstat(out_path)
+                    if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, named):
+                        os.remove(out_path)
+                raise
     except OSError as exc:
         raise QTransportError(f"cannot write output file: {exc}") from exc
 
@@ -139,8 +158,6 @@ def _check_out(out_path: str | None) -> None:
     written, before any work and without creating anything: the path must
     not be a directory and must be writable, or, if it does not exist yet,
     its directory must exist and be writable."""
-    import os  # only here; the interpreter has already loaded it
-
     if out_path is None:
         return
     directory = os.path.dirname(out_path) or os.curdir

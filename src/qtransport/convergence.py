@@ -85,9 +85,3 @@ def quantum_curve(
         points.append(ConvergencePoint("quantum", estimates[0].total_oracle_calls, rmse))
     return points
 
-
-def loglog_slope(points: list[ConvergencePoint]) -> float:
-    """Least-squares slope of log10(rmse) vs log10(budget)."""
-    budgets = np.log10([p.budget for p in points])
-    rmses = np.log10(np.maximum([p.rmse for p in points], 1e-300))
-    return float(np.polyfit(budgets, rmses, 1)[0])

@@ -509,10 +509,11 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     """Counts of `shots` outcomes drawn i.i.d. from a probability vector.
 
     The uniforms come from one seeded stream, 2^16 (`_BLOCK`) at a time,
-    and each block's counts are added up. PCG64 makes one double per
-    output, so the counts are those of a single draw of every shot, and
-    identical seeds give identical counts; the scratch is one block
-    whatever the number of shots.
+    and each block's outcomes are added into the counts in place. PCG64
+    makes one double per output, so the counts are those of a single draw
+    of every shot, and identical seeds give identical counts. Next to the
+    cdf and the counts, the scratch is one block whatever the number of
+    shots or positions.
     """
     if shots < 1:
         raise InvariantError("shots must be >= 1")
@@ -522,5 +523,5 @@ def sample(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     for start in range(0, shots, _BLOCK):
         outcomes = np.searchsorted(cdf, rng.random(min(_BLOCK, shots - start)), side="right")
         np.minimum(outcomes, len(probs) - 1, out=outcomes)
-        counts += np.bincount(outcomes, minlength=len(probs))
+        np.add.at(counts, outcomes, 1)
     return counts

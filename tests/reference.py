@@ -16,9 +16,12 @@ controlled subspace and no index arrays are built. It ends with
 `transport.check_norm`, as the register-level pass does.
 `mask_probability` squares and sums a block of amplitudes at a time, so its
 scratch is one block, not a float64 copy of the state. `exact_amplitude`
-runs the whole gate-level A and reads its flag.
+runs the whole gate-level A and reads its flag. `parse_circuit` reads
+`circuit.dump_circuit`'s text back into a `Circuit`.
 """
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -160,3 +163,42 @@ def exact_amplitude(a: Circuit) -> float:
     amplitudes = zero_state(a.qubit_count)
     apply_inplace(amplitudes, a)
     return mask_probability(amplitudes, np.repeat([False, True], 1 << flag))
+
+
+_HEADER = re.compile(r"^qubits=(?P<count>\d+)$")
+_REGISTER_LINE = re.compile(r"^register (?P<name>[^=]+)=\[(?P<qubits>(\d+(,\d+)*)?)\]$")
+_GATE_LINE = re.compile(
+    r"^(?P<kind>[A-Za-z]+)(\((?P<angle>[^)]*)\))?"
+    r" targets=\[(?P<target>\d+)\]"
+    r" controls=\[(?P<controls>([+-]\d+(,[+-]\d+)*)?)\]$"
+)
+
+
+def parse_circuit(text: str) -> Circuit:
+    """Parse the dump format back into a Circuit (round-trips dump_circuit);
+    any line off the format raises InvariantError."""
+    lines = [line for line in text.splitlines() if line.strip()]
+    header = _HEADER.match(lines[0]) if lines else None
+    if header is None:
+        raise InvariantError("dump must start with a qubits=N header")
+    registers: dict[str, tuple[int, ...]] = {}
+    gates: list[Gate] = []
+    kinds = {k.value: k for k in GateKind}
+    for line in lines[1:]:
+        m = _REGISTER_LINE.match(line)
+        if m is not None:
+            registers[m.group("name")] = tuple(int(s) for s in m.group("qubits").split(",") if s)
+            continue
+        m = _GATE_LINE.match(line)
+        if m is None:
+            raise InvariantError(f"unparseable line: {line!r}")
+        kind = kinds.get(m.group("kind"))
+        if kind is None:
+            raise InvariantError(f"unknown gate kind in line: {line!r}")
+        try:
+            angle = None if m.group("angle") is None else float(m.group("angle"))
+        except ValueError:
+            raise InvariantError(f"angle is not a number in line: {line!r}") from None
+        controls = [(int(s[1:]), s[0] == "+") for s in m.group("controls").split(",") if s]
+        gates.append(Gate(kind, (int(m.group("target")),), controls, angle=angle))
+    return Circuit(int(header.group("count")), tuple(gates), registers)

@@ -2,7 +2,10 @@
 tolerance, printing one PASS/FAIL line (run with -s to see them on success).
 
 Heavier statistical experiments (C5, C6, C8) use fixed seeds and are fully
-deterministic.
+deterministic. C8 holds the engines to a closed form: on a problem where
+every flight moves one step, the mean final position is the mean number of
+flights taken, which the DP oracle, the circuit's register-level pass and
+the flowchart tally must each give.
 """
 import math
 import time
@@ -10,17 +13,12 @@ import time
 import numpy as np
 import pytest
 
-from qtransport import TransportProblem
+from qtransport import RegionSpec, TransportProblem
 from qtransport.circuit import Circuit, mct
-from qtransport.classical_mc import (
-    exact_distribution,
-    expected_flights,
-    mean_flights_uncapped,
-)
+from qtransport.classical_mc import exact_distribution, run_tally
 from qtransport.convergence import (
     classical_curve,
     exact_predicate_probability,
-    loglog_slope,
     quantum_curve,
 )
 from qtransport.qae import (
@@ -180,6 +178,13 @@ def test_c4_resource_arithmetic(table_a1):
     finish("C4", ok, f"practical_estimate(100)={total_100}; reference budget={budget['total_without_flag']}(+1 flag)")
 
 
+def loglog_slope(points) -> float:
+    """Least-squares slope of log10(rmse) vs log10(budget)."""
+    budgets = np.log10([p.budget for p in points])
+    rmses = np.log10(np.maximum([p.rmse for p in points], 1e-300))
+    return float(np.polyfit(budgets, rmses, 1)[0])
+
+
 SCALING_BUDGETS = (100, 1_000, 10_000, 100_000)
 SCALING_SEEDS = 20
 
@@ -235,14 +240,59 @@ def test_c7_grover_identity(table_a1):
     finish("C7", err < 1e-9, f"max |P(flag) - sin^2((2m+1)theta)| = {err:.2e} for m=0..8")
 
 
+C8_P_ABSORB = 0.25
+
+
+def flight_count_problem(x_qubits, flights, first=True, timing="pre_flight"):
+    """One region on both sides, every flight one step: the final position
+    is the number of flights taken."""
+    spec = RegionSpec((0.0, 1.0), C8_P_ABSORB)
+    return TransportProblem(
+        x_qubits=x_qubits,
+        max_flights=flights,
+        boundary=1 << (x_qubits - 1),
+        regions=(spec, spec),
+        first_flight_always=first,
+        reaction_timing=timing,
+    )
+
+
+def expected_flights(flights, first):
+    """Mean flights taken: flight k runs with probability (1-p)^(k-1), or
+    (1-p)^k when the first flight is gated too."""
+    scatter = 1.0 - C8_P_ABSORB
+    mean = (1.0 - scatter**flights) / C8_P_ABSORB
+    return mean if first else mean * scatter
+
+
 def test_c8_expected_flights():
-    exact = expected_flights(0.25)
-    empirical = mean_flights_uncapped(0.25, 1_000_000, seed=3)
-    rel = abs(empirical - 4.0) / 4.0
+    # the DP oracle at 100 flights (x_qubits 7) and the circuit's
+    # register-level pass at 8 flights (x_qubits 4, 21 qubits), for both
+    # timings with the first flight free and gated; then the flowchart tally
+    means, errors = {}, []
+    for timing in ("pre_flight", "post_flight"):
+        for first in (True, False):
+            for engine, x_qubits, flights in (
+                (exact_distribution, 7, 100),
+                (transport_distribution, 4, 8),
+            ):
+                dist = engine(flight_count_problem(x_qubits, flights, first, timing))
+                mean = float(np.arange(len(dist)) @ dist)
+                means.setdefault(engine.__name__, mean)  # pre_flight, first flight free
+                errors.append(abs(mean - expected_flights(flights, first)))
+    exact_err = max(errors)
+    histories = 1_000_000
+    counts = run_tally(flight_count_problem(7, 100), histories, seed=3)
+    sampled = float(np.arange(len(counts)) @ counts) / histories
+    rel = abs(sampled - expected_flights(100, True)) / expected_flights(100, True)
     finish(
         "C8",
-        exact == 4.0 and rel < 0.02,
-        f"expected_flights(0.25)={exact}; empirical mean={empirical:.4f} (rel err {rel:.4f})",
+        exact_err < 1e-9 and rel < 0.02,
+        f"mean flights at p_absorb {C8_P_ABSORB} against (1-(1-p)^n)/p: "
+        f"exact_distribution {means['exact_distribution']!r} (n=100), "
+        f"transport_distribution {means['transport_distribution']!r} (n=8), "
+        f"worst of both over timings and a gated first flight {exact_err:.1e}; "
+        f"run_tally {sampled} (10^6 histories, n=100, rel err {rel:.2e})",
     )
 
 

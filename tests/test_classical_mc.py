@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from qtransport import RegionSpec, TransportProblem, classical_mc
-from qtransport.classical_mc import (
-    exact_distribution,
-    expected_flights,
-    mean_flights_uncapped,
-    run_history,
-    run_tally,
-)
+from qtransport.classical_mc import exact_distribution, run_tally
 from qtransport.errors import InvariantError
 from qtransport.transport import _BLOCK, MOVE
 
 from conftest import HAND_P_ZERO, flowchart_steps, full_draw_counts, random_problem
+
+
+def run_history(problem, rng):
+    """One sampled history's final position: the batch sampler for one
+    shot, reading on from the caller's generator."""
+    return int(classical_mc._simulate_counts(problem, 1, rng).argmax())
 
 
 def single_region(pmf, p_absorb, x_qubits=5, flights=3, **kw):
@@ -66,27 +66,6 @@ def chi_square_p(counts: np.ndarray, exact: np.ndarray) -> float:
     pools[-1] = (pools[-1][0] + observed, pools[-1][1] + mass)
     stat = sum((o - e) ** 2 / e for o, e in pools)
     return chi2_sf(stat, len(pools) - 1)
-
-
-class TestExpectedFlights:
-    def test_quarter(self):
-        assert expected_flights(0.25) == 4.0
-
-    def test_one(self):
-        assert expected_flights(1.0) == 1.0
-
-    def test_zero_rejected(self):
-        with pytest.raises(InvariantError):
-            expected_flights(0.0)
-
-    def test_empirical_mean(self):
-        mean = mean_flights_uncapped(0.25, 1_000_000, seed=3)
-        assert abs(mean - 4.0) / 4.0 < 0.02
-
-    def test_cap_enforced(self, monkeypatch):
-        monkeypatch.setattr(classical_mc, "FLIGHT_CAP", 3)
-        with pytest.raises(InvariantError):
-            mean_flights_uncapped(0.01, 2000, seed=0)
 
 
 class TestRunHistory:

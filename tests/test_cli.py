@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from qtransport import classical_mc, cli, convergence, qae, transport
-from qtransport.circuit import parse_circuit
 from qtransport.classical_mc import exact_distribution
 from qtransport.cli import main, parse_problem_dict
 from qtransport.transport import build_transport_circuit
@@ -464,6 +463,55 @@ class TestExitCodes:
         assert main(["exact", "-p", table_a1_path, "--oracle"]) == 4
         assert capsys.readouterr().err == "error: out of memory in exact\n"
 
+    @pytest.mark.parametrize(
+        "exc, code", [(MemoryError(), 4), (OSError(28, "No space left on device"), 1)],
+        ids=["memory", "disk"],
+    )
+    def test_failure_mid_table_leaves_no_out_file(
+        self, table_a1_path, tmp_path, monkeypatch, capsys, exc, code
+    ):
+        # the first row is written before the failure; the file goes with it
+        def dist(problem):
+            yield 0.5
+            raise exc
+
+        monkeypatch.setattr(cli, "transport_distribution", dist)
+        out = tmp_path / "table.csv"
+        assert main(["exact", "-p", table_a1_path, "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
+    def test_failure_mid_table_keeps_a_symlink(self, table_a1_path, tmp_path, monkeypatch):
+        # only a regular file the command opened is removed: not a link, nor
+        # the device behind it
+        if not os.path.exists(os.devnull):
+            pytest.skip(f"no {os.devnull}")
+
+        def dist(problem):
+            yield 0.5
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "transport_distribution", dist)
+        out = tmp_path / "table.csv"
+        out.symlink_to(os.devnull)
+        assert main(["exact", "-p", table_a1_path, "--out", str(out)]) == 4
+        assert out.is_symlink()
+        assert os.path.exists(os.devnull)
+
+    def test_failed_removal_keeps_the_exit_code(self, table_a1_path, tmp_path, monkeypatch, capsys):
+        # the file is gone before the failure, so its removal fails; the
+        # MemoryError still exits 4, not 1
+        out = tmp_path / "table.csv"
+
+        def dist(problem):
+            yield 0.5
+            out.unlink()
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "transport_distribution", dist)
+        assert main(["exact", "-p", table_a1_path, "--out", str(out)]) == 4
+        assert capsys.readouterr().err == "error: out of memory in exact\n"
+
     def test_unwritable_out_is_1_before_the_work(self, tmp_path, capsys):
         # 3e6 flowchart histories on the mc_long shape, absorbed at 10% per
         # reaction, run for about half a second
@@ -589,6 +637,35 @@ class TestTableWriter:
         finally:
             tracemalloc.stop()
         assert peak <= (8 << 18) + (1 << 20), peak
+
+    @pytest.mark.parametrize(
+        "mode, vectors, scratch_mib",
+        [
+            # the distribution, its cdf and the counts; one block's uniforms,
+            # outcomes and search scratch took 1.5 MiB
+            ("circuit", 3, 2.0),
+            # the counts; one block of 2^16 histories (positions, draws,
+            # region and index arrays, final positions) took 2.57 MiB
+            ("flowchart", 1, 2.75),
+        ],
+    )
+    def test_mc_peak_is_its_vectors_and_one_block(
+        self, tmp_path, table_a1_path, mode, vectors, scratch_mib
+    ):
+        # x_qubits 18: a 2 MiB position vector; 200 000 shots are four
+        # blocks. A full-length bincount per block peaked at 8.5 and 5.0 MiB.
+        # A first run on table A1 loads what the command imports lazily
+        # (1.2 MiB traced), so the traced run holds only the command's arrays.
+        argv = ["mc", "--shots", "200000", "--mode", mode, "--out", str(tmp_path / "table.csv")]
+        assert main([*argv, "-p", table_a1_path]) == 0
+        path = wide_path(tmp_path, 18)
+        tracemalloc.start()
+        try:
+            assert main([*argv, "-p", path]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= vectors * (8 << 18) + scratch_mib * (1 << 20), peak
 
 
 class TestExact:
@@ -996,7 +1073,7 @@ class TestDumpCircuit:
         assert result.returncode == 0
         text = result.stdout
         assert text.splitlines()[0] == "qubits=14"
-        circuit = parse_circuit(text)
+        circuit = reference.parse_circuit(text)
         assert circuit.registers["X"] == (0, 1, 2, 3)
         anc_p = circuit.registers["AncP"][0]
         progress_writes = [
@@ -1009,7 +1086,7 @@ class TestDumpCircuit:
     def test_in_process_round_trip(self, table_a1_path, capsys):
         assert main(["dump-circuit", "-p", table_a1_path]) == 0
         text = capsys.readouterr().out
-        assert parse_circuit(text).qubit_count == 14
+        assert reference.parse_circuit(text).qubit_count == 14
 
 
 class TestOneProcess:

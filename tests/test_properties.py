@@ -17,7 +17,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qtransport.circuit import dump_circuit, inverse, parse_circuit
+from qtransport.circuit import dump_circuit, inverse
 from qtransport.classical_mc import _simulate_counts, exact_distribution
 from qtransport.qae import (
     _GROUP_BLOCKS,
@@ -35,7 +35,7 @@ from qtransport.qae import (
 )
 from qtransport.transport import _BLOCK, build_transport_circuit, transport_distribution
 
-from reference import apply_inplace, exact_amplitude, zero_state
+from reference import apply_inplace, exact_amplitude, parse_circuit, zero_state
 from conftest import (
     branch_support,
     embed_support,

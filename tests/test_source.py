@@ -25,11 +25,6 @@ def test_no_assert_statements(path):
 KEPT = {
     "build_a_operator": "gate-level A, the definition predicate_probability is held to",
     "build_grover_operator": "gate-level Q, the definition amplified_probabilities is held to",
-    "parse_circuit": "reads the dump-circuit format back",
-    "expected_flights": "acceptance C8's closed form",
-    "mean_flights_uncapped": "acceptance C8's sampled mean",
-    "loglog_slope": "the convergence slope acceptance C7 reads",
-    "run_history": "one flowchart history, the scalar form of run_tally",
 }
 
 
